@@ -1,5 +1,5 @@
 //! CI smoke check for the EXPLAIN subsystem: run the paper corpus under
-//! `execute_explained_with_options` at 1 and 4 threads and assert, for
+//! `lyric::run` with `Instrument::Explain` at 1 and 4 threads and assert, for
 //! every report, the invariants the explain layer pins:
 //!
 //! * the JSON document passes [`validate_plan_json`] (schema + the
@@ -16,7 +16,7 @@
 //! `cargo run -p lyric-bench --bin explain_smoke --release`.
 
 use lyric::trace::plan::validate_plan_json;
-use lyric::ExecOptions;
+use lyric::{ExecOptions, Instrument, RunSpec};
 
 const QUERIES: &[&str] = &[
     "SELECT Y FROM Desk X WHERE X.drawer.extent[Y]",
@@ -47,12 +47,21 @@ fn main() {
     let mut shapes = std::collections::BTreeSet::new();
     let mut expected_sites = 0usize;
     for threads in [1usize, 4] {
-        let opts = ExecOptions::default().with_threads(threads);
+        let spec = RunSpec {
+            opts: ExecOptions::default().with_threads(threads),
+            instrument: Instrument::Explain,
+        };
         for (i, q) in QUERIES.iter().enumerate() {
             let label = format!("query {i} threads={threads}");
-            let (res, report) = match lyric::execute_explained_with_options(&db, q, &opts) {
-                Ok(pair) => pair,
-                Err(e) => {
+            let out = lyric::run(&db, q, &spec);
+            let (res, report) = match (out.result, out.explain) {
+                (Ok(res), Some(report)) => (res, report),
+                (Ok(_), None) => {
+                    eprintln!("FAIL: {label}: explained run returned no plan");
+                    failures += 1;
+                    continue;
+                }
+                (Err(e), _) => {
                     eprintln!("FAIL: {label}: explained run failed: {e}");
                     failures += 1;
                     continue;

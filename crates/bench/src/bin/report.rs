@@ -5,7 +5,7 @@
 
 use lyric::paper_example::{self, box2};
 use lyric::trace::Json;
-use lyric::{execute, execute_with_options, parse_query, ExecOptions};
+use lyric::{execute, execute_with_options, parse_query, ExecOptions, Instrument, RunSpec};
 use lyric_bench::gridrep::Grid;
 use lyric_bench::workload::{self, Q_LINEAR, Q_PAIRWISE};
 use lyric_constraint::{Conjunction, CstObject, Var};
@@ -609,7 +609,7 @@ fn e10() -> Json {
     let mut traces = Vec::new();
     for (_, q) in paper_queries() {
         let mut db = paper_example::database();
-        let (_, trace) = lyric::execute_traced(&mut db, q, lyric::EngineBudget::unlimited())
+        let (_, trace) = lyric::execute_traced_with_options(&mut db, q, &ExecOptions::default())
             .expect("paper query evaluates");
         traces.push(trace);
     }
@@ -833,16 +833,15 @@ fn e13() -> Json {
         };
         let (a, b, inner) = (mk_box(0, 10), mk_box(5, 15), mk_box(6, 9));
         let measure = |fast: bool| {
-            let ((ms, _), stats) = lyric::engine::run_with_opts(opts(fast), || {
+            let (timed, stats, _) = lyric::engine::run(opts(fast), None, None, || {
                 time_ms(20, || {
                     for _ in 0..10 {
                         assert!(a.and(&b).satisfiable());
                         assert!(inner.implies(&a));
                     }
                 })
-            })
-            .expect("unlimited budget");
-            (ms, stats)
+            });
+            (timed.expect("unlimited budget").0, stats)
         };
         row("E3 constraint ops, 3-D", measure(true), measure(false));
     }
@@ -952,16 +951,19 @@ fn e15() -> Json {
     let run_plain = || {
         lyric::execute_shared(&db, Q_LINEAR, &opts).expect("linear query evaluates");
     };
-    // One clone up front: the traced entry point takes `&mut Database`
-    // (CREATE VIEW materializes), but a SELECT never mutates, so reusing
-    // the clone keeps the clone cost out of the traced timing.
-    let mut traced_db = db.clone();
+    let spec = |instrument| RunSpec {
+        opts: opts.clone(),
+        instrument,
+    };
+    let (traced, explained) = (spec(Instrument::Trace), spec(Instrument::Explain));
     let mut run_traced = || {
-        lyric::execute_traced_with_options(&mut traced_db, Q_LINEAR, &opts)
+        lyric::run(&db, Q_LINEAR, &traced)
+            .result
             .expect("traced linear query evaluates");
     };
     let run_explained = || {
-        lyric::execute_explained_with_options(&db, Q_LINEAR, &opts)
+        lyric::run(&db, Q_LINEAR, &explained)
+            .result
             .expect("explained linear query evaluates");
     };
     run_plain(); // warm the memo caches so every mode measures steady state

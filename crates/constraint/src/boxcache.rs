@@ -124,13 +124,13 @@ mod tests {
         let c = empty_box_conjunction();
         let cold = super::box_of(&c);
         let opts = lyric_engine::ExecOptions::default().with_boxes(true);
-        let (warm, _) = lyric_engine::run_with_opts(opts, || {
+        let (warm, _, _) = lyric_engine::run(opts, None, None, || {
             let first = super::box_of(&c); // miss: computes and stores
             let second = super::box_of(&c); // hit: returns the stored box
             assert_eq!(first, second);
             first
-        })
-        .unwrap();
+        });
+        let warm = warm.unwrap();
         assert_eq!(cold, warm);
     }
 }

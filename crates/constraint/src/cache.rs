@@ -222,13 +222,13 @@ mod tests {
         // workers share the query's generation.
         let c = x_box();
         let opts = lyric_engine::ExecOptions::default().with_threads(4);
-        let ((), stats) = lyric_engine::run_with_opts(opts, || {
+        let (value, stats, _) = lyric_engine::run(opts, None, None, || {
             assert!(c.satisfiable()); // miss, on the coordinator
             let items = [(); 8];
             let answers = lyric_engine::parallel_map(&items, |_, _| c.satisfiable());
             assert!(answers.into_iter().all(|a| a));
-        })
-        .unwrap();
+        });
+        value.unwrap();
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.cache_hits, 8);
     }

@@ -1,4 +1,4 @@
-//! Static semantic analysis of LyriC queries (the `lyric-analyze` passes).
+//! Static semantic analysis of LyriC queries.
 //!
 //! The analyzer runs on the parsed AST plus the schema — it never touches
 //! instance data — and mirrors the evaluator's resolution rules exactly so
@@ -30,7 +30,7 @@
 //!    [`codes::DUPLICATE_FROM_VARIABLE`]).
 //! 5. **Semantic lints** — interval analysis over single-variable atoms
 //!    finds trivially unsatisfiable conjuncts ([`codes::TRIVIALLY_UNSAT`]);
-//!    the multi-variable box domain (`lyric_absint`) then propagates
+//!    the multi-variable box domain (`lyric_constraint::IntervalBox`) then propagates
 //!    bounds *across* atoms, proving whole conjunctions empty
 //!    ([`codes::STATIC_UNSAT`]), OR branches dead
 //!    ([`codes::DEAD_DISJUNCT`]) and comparisons redundant
@@ -1111,7 +1111,7 @@ impl Analyzer<'_> {
     }
 
     /// Multi-variable interval-box lint over the conjunctive skeleton
-    /// (the always-on analyzer face of the `lyric_absint` domain, run
+    /// (the always-on analyzer face of the `IntervalBox` domain, run
     /// after [`unsat_scan`](Self::unsat_scan)). Converts every
     /// pseudo-linear atom to a normalized constraint atom and runs the
     /// box transfer functions to a truncated fixpoint:

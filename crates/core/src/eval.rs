@@ -14,13 +14,17 @@
 
 use crate::ast::*;
 use crate::error::LyricError;
+use crate::explain::ExplainReport;
 use crate::formula::{arith_to_linexpr, display_path, entails, instantiate};
 use crate::parser::parse_query;
 use crate::scope::{ScopeKey, ScopeLink};
 use lyric_arith::Rational;
 use lyric_constraint::{Atom, CstObject, Extremum, Interval, IntervalBox, RelOp, Var};
-use lyric_engine::{span, SpanKind};
+use lyric_engine::flight::{self, QuerySummary, Trigger};
+use lyric_engine::trace::Trace;
+use lyric_engine::{span, ExecOptions, SpanKind};
 use lyric_oodb::{AttrDef, AttrTarget, ClassDef, Database, Oid, Value};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -58,143 +62,385 @@ impl fmt::Display for QueryResult {
     }
 }
 
-/// Parse and execute a LyriC statement against a database. `CREATE VIEW`
-/// statements mutate the database (new class + extent) and also return the
-/// selected rows.
+/// How much instrumentation a [`run`] attaches. Explain implies trace.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Instrument {
+    /// Plain evaluation: the engine counters only.
+    #[default]
+    Off,
+    /// Record the span tree ([`Outcome::trace`]). The front end (lex,
+    /// parse, analyze) runs inside the engine context, so its time is
+    /// attributed too.
+    Trace,
+    /// EXPLAIN ANALYZE: trace with plan-node ids stamped on the operator
+    /// spans and attribute the trace back to the plan
+    /// ([`Outcome::explain`]). `SELECT` statements only.
+    Explain,
+}
+
+/// What a [`run`] evaluates under: the per-execution options (budget,
+/// cache, threads, arithmetic, boxes, index) and the instrumentation.
+#[derive(Clone, Debug, Default)]
+pub struct RunSpec {
+    /// Budget, memo cache, thread budget and the soundness-layer switches.
+    pub opts: ExecOptions,
+    /// Plain, traced, or explained.
+    pub instrument: Instrument,
+}
+
+/// The product of one [`run`].
+#[derive(Debug)]
+pub struct Outcome {
+    /// The answer, or why there is none.
+    pub result: Result<QueryResult, LyricError>,
+    /// The sealed span tree of a `Trace` or `Explain` run (partial when
+    /// the run aborted on budget). Its aggregate stats equal the query's
+    /// counters exactly — the per-span deltas partition its total work.
+    pub trace: Option<Trace>,
+    /// The attributed plan of a completed `Explain` run.
+    pub explain: Option<ExplainReport>,
+}
+
+/// The database a statement runs against: `&Database` admits `SELECT`
+/// only, so many threads may share it; `&mut Database` also admits
+/// `CREATE VIEW`, which mutates it.
+pub trait Target {
+    /// Shared access, enough for `SELECT`.
+    fn shared(&self) -> &Database;
+    /// Exclusive access, when the caller granted it.
+    fn exclusive(&mut self) -> Option<&mut Database>;
+}
+
+impl Target for &Database {
+    fn shared(&self) -> &Database {
+        self
+    }
+    fn exclusive(&mut self) -> Option<&mut Database> {
+        None
+    }
+}
+
+impl Target for &mut Database {
+    fn shared(&self) -> &Database {
+        self
+    }
+    fn exclusive(&mut self) -> Option<&mut Database> {
+        Some(self)
+    }
+}
+
+/// Run one LyriC statement: parse, run the static-analysis gate, and
+/// evaluate it under one engine context configured by `spec`. This is the
+/// one way a query runs; every `execute*` function is a wrapper over it.
 ///
-/// Runs under an unlimited [`EngineBudget`](lyric_engine::EngineBudget)
-/// with the memo cache enabled; the returned [`QueryResult::stats`] carry
-/// the work counters. Use [`execute_with_budget`] to bound the evaluation.
+/// Every call leaves exactly one record of the finished query (a
+/// [`QuerySummary`](lyric_engine::flight::QuerySummary)), which every sink
+/// reads: the structured query log, the flight-recorder ring, and — on a
+/// budget abort, an engine error after the analyzer admitted the query,
+/// or a `LYRIC_SLOW_MS` breach — a black-box dump written while the
+/// in-flight registry still shows the query. Lex, parse and analysis
+/// rejections are recorded with outcome `error` and never dump. With
+/// slow-query forensics armed (`LYRIC_SLOW_EXPLAIN=1` plus a slow
+/// threshold and a query-log sink), a plain `SELECT` is raised to
+/// [`Instrument::Explain`] so its log line carries the top plan nodes.
+///
+/// Except under [`Instrument::Trace`], the front end runs ahead of the
+/// engine context, so a rejected statement never counts as an engine
+/// query (`lyric_queries_total`). `CREATE VIEW` needs a `&mut Database`
+/// and is rejected under [`Instrument::Explain`].
+pub fn run(db: impl Target, src: &str, spec: &RunSpec) -> Outcome {
+    pipeline(db, Input::Text(src), spec, true)
+}
+
+/// Parse and execute a LyriC statement against a database under the
+/// default [`ExecOptions`]. `CREATE VIEW` statements mutate the database
+/// (new class + extent) and also return the selected rows.
 pub fn execute(db: &mut Database, src: &str) -> Result<QueryResult, LyricError> {
-    let q = parse_query(src)?;
-    execute_parsed(db, &q)
+    run(db, src, &RunSpec::default()).result
 }
 
 /// [`execute`] without the static-analysis gate: the query goes straight
 /// to the evaluator, so semantic errors surface as runtime errors
-/// mid-evaluation. Useful for differential testing of the analyzer and for
-/// callers that have already analyzed the query.
+/// mid-evaluation — the reference path for the evaluator's runtime-error
+/// tests and for differential testing of the analyzer.
 pub fn execute_unchecked(db: &mut Database, src: &str) -> Result<QueryResult, LyricError> {
-    let q = parse_query(src)?;
-    execute_parsed_unchecked(db, &q)
+    pipeline(db, Input::Text(src), &RunSpec::default(), false).result
 }
 
-/// Parse and execute a statement under an explicit evaluation budget.
-/// When a limit is crossed, evaluation aborts promptly and returns
-/// [`LyricError::BudgetExceeded`] with the limit and the amount consumed —
-/// adversarial constraint blowups degrade gracefully instead of hanging.
-pub fn execute_with_budget(
-    db: &mut Database,
-    src: &str,
-    budget: lyric_engine::EngineBudget,
-) -> Result<QueryResult, LyricError> {
-    execute_with_options(
-        db,
-        src,
-        &lyric_engine::ExecOptions::default().with_budget(budget),
-    )
-}
-
-/// Parse and execute a statement under explicit
-/// [`ExecOptions`](lyric_engine::ExecOptions): budget, memo cache, and the
+/// [`execute`] under explicit [`ExecOptions`]: budget, memo cache, and the
 /// thread budget for parallel regions. With `threads` above 1, FROM-clause
 /// binding, WHERE filtering, SELECT items, and large DNF operations fan
 /// out across a scoped worker pool; answers are identical to the serial
-/// (`threads == 1`) evaluation — work is handed out by index and merged
-/// back in index order.
+/// (`threads == 1`) evaluation. A crossed budget limit aborts promptly
+/// with [`LyricError::BudgetExceeded`].
 pub fn execute_with_options(
     db: &mut Database,
     src: &str,
-    opts: &lyric_engine::ExecOptions,
+    opts: &ExecOptions,
 ) -> Result<QueryResult, LyricError> {
-    let q = parse_query(src)?;
-    check(db, &q)?;
-    run_in_context(db, &q, opts.clone(), Some(src))
+    run(db, src, &plain(opts)).result
 }
 
 /// Execute a `SELECT` statement against a *shared* database reference.
 /// This is the concurrency entry point: many threads may call it on the
 /// same `&Database` simultaneously, each evaluation getting its own
 /// engine context (so budgets and stats stay per-query) while sharing the
-/// process-global memo caches. `CREATE VIEW` statements are rejected —
-/// they mutate the database and need [`execute`]'s exclusive access.
+/// process-global memo caches. `CREATE VIEW` statements are rejected.
 pub fn execute_shared(
     db: &Database,
     src: &str,
-    opts: &lyric_engine::ExecOptions,
+    opts: &ExecOptions,
 ) -> Result<QueryResult, LyricError> {
-    let q = parse_query(src)?;
-    check(db, &q)?;
-    match &q {
-        Query::Select(s) => {
-            // Slow-query forensics: with `LYRIC_SLOW_EXPLAIN=1` and a slow
-            // threshold configured, run under explain instrumentation so
-            // the slow log line can carry the per-operator summary.
-            if crate::explain::slow_explain_active() {
-                return crate::explain::run_explained_select(db, src, s, opts).map(|(res, _)| res);
-            }
-            let started = Instant::now();
-            let trace_id = Cell::new(0u64);
-            let fguard = flight_begin(src, opts);
-            let progress = fguard.as_ref().map(|g| g.progress());
-            let result = match lyric_engine::run_with_opts_flight(opts.clone(), progress, || {
-                trace_id.set(lyric_engine::generation());
-                if let Some(g) = &fguard {
-                    g.set_trace_id(lyric_engine::generation());
-                }
-                eval_select_query(db, s)
-            }) {
-                Ok((inner, stats)) => inner.map(|mut res| {
-                    res.stats = stats;
-                    res
-                }),
-                Err(exceeded) => Err(exceeded.into()),
-            };
-            log_query(
-                src,
-                opts.threads.max(1),
-                started,
-                trace_id.get(),
-                &result,
-                None,
-            );
-            flight_finish(
-                fguard,
-                src,
-                opts.threads.max(1),
-                started,
-                trace_id.get(),
-                &result,
-                None,
-            );
-            result
-        }
-        Query::CreateView(_) => Err(LyricError::type_error(
-            "execute_shared evaluates SELECT statements only; CREATE VIEW mutates the database",
-        )),
-    }
+    run(db, src, &plain(opts)).result
 }
 
-/// Execute an already-parsed statement (unlimited budget, cache enabled).
-/// Composes with an outer [`lyric_engine::run_with`]: if a context is
-/// already installed, it is used as-is — its budget applies and the stats
-/// stamped on the result are the context's cumulative counters.
+/// [`execute_with_options`] under [`Instrument::Trace`], returning the
+/// sealed span tree alongside the answer. Under a thread budget above 1
+/// the trace grafts per-worker subtrees (distinct `tid`s) into the single
+/// logical query tree.
+pub fn execute_traced_with_options(
+    db: &mut Database,
+    src: &str,
+    opts: &ExecOptions,
+) -> Result<(QueryResult, Trace), LyricError> {
+    let spec = RunSpec {
+        opts: opts.clone(),
+        instrument: Instrument::Trace,
+    };
+    let out = run(db, src, &spec);
+    out.result.map(|res| {
+        (
+            res,
+            out.trace.expect("a completed traced run seals its trace"),
+        )
+    })
+}
+
+/// Execute an already-parsed statement under the default
+/// [`ExecOptions`], skipping the parse (benchmarks time evaluation this
+/// way). Without source text there is nothing to key a query record by,
+/// so none is written.
 pub fn execute_parsed(db: &mut Database, q: &Query) -> Result<QueryResult, LyricError> {
-    check(db, q)?;
-    execute_parsed_unchecked(db, q)
+    pipeline(db, Input::Parsed(q), &RunSpec::default(), true).result
 }
 
-/// [`execute_parsed`] without the static-analysis gate; see
-/// [`execute_unchecked`].
-pub fn execute_parsed_unchecked(db: &mut Database, q: &Query) -> Result<QueryResult, LyricError> {
-    if lyric_engine::is_active() {
-        let mut res = execute_in_context(db, q)?;
-        if let Some(stats) = lyric_engine::snapshot() {
-            res.stats = stats;
-        }
-        return Ok(res);
+fn plain(opts: &ExecOptions) -> RunSpec {
+    RunSpec {
+        opts: opts.clone(),
+        instrument: Instrument::Off,
     }
-    run_in_context(db, q, lyric_engine::ExecOptions::default(), None)
+}
+
+/// A statement as handed to the pipeline.
+#[derive(Clone, Copy)]
+enum Input<'a> {
+    Text(&'a str),
+    Parsed(&'a Query),
+}
+
+/// Parse a text statement and, with `gate`, admit it through the
+/// static analyzer.
+fn front_end<'q>(
+    db: &Database,
+    input: Input<'q>,
+    gate: bool,
+) -> Result<Cow<'q, Query>, LyricError> {
+    let q = match input {
+        Input::Text(src) => Cow::Owned(parse_query(src)?),
+        Input::Parsed(q) => Cow::Borrowed(q),
+    };
+    if gate {
+        check(db, &q)?;
+    }
+    Ok(q)
+}
+
+/// The pipeline behind [`run`], [`execute_unchecked`] and
+/// [`execute_parsed`]: front end, one engine context, one record.
+fn pipeline(mut db: impl Target, input: Input<'_>, spec: &RunSpec, gate: bool) -> Outcome {
+    let started = Instant::now();
+    let src = match input {
+        Input::Text(src) => Some(src),
+        Input::Parsed(_) => None,
+    };
+    let guard = src.and_then(|src| register_inflight(src, &spec.opts));
+    let trace_id = Cell::new(0u64);
+    let admitted = Cell::new(false);
+    let mut instrument = spec.instrument;
+    let mut plan = None;
+    let mut stats = lyric_engine::EngineStats::default();
+    let mut trace = None;
+    let result = 'run: {
+        // Except under `Trace`, whose span tree covers the front end too,
+        // parse and analyze ahead of the engine context: a rejected
+        // statement never counts as an engine query, and an explained one
+        // has its plan before the run.
+        let early = match instrument {
+            Instrument::Trace => None,
+            _ => match front_end(db.shared(), input, gate) {
+                Ok(q) => Some(q),
+                Err(e) => break 'run Err(e),
+            },
+        };
+        if let Some(q) = &early {
+            // Slow-query forensics: a logged plain SELECT runs explained so
+            // its slow log line can carry the top plan nodes.
+            if instrument == Instrument::Off
+                && src.is_some()
+                && matches!(**q, Query::Select(_))
+                && crate::explain::slow_explain_active()
+            {
+                instrument = Instrument::Explain;
+            }
+            match &**q {
+                Query::Select(s) if instrument == Instrument::Explain => {
+                    plan = Some(crate::explain::build_plan(db.shared(), s));
+                }
+                Query::CreateView(_) if instrument == Instrument::Explain => {
+                    break 'run Err(LyricError::type_error(
+                        "EXPLAIN ANALYZE evaluates SELECT statements only; CREATE VIEW mutates the database",
+                    ));
+                }
+                Query::CreateView(_) if db.exclusive().is_none() => break 'run Err(shared_view()),
+                _ => {}
+            }
+        }
+        let tracer = (instrument != Instrument::Off).then(|| {
+            let src = src.unwrap_or_default();
+            lyric_engine::trace::Collector::new(src.trim(), src.len())
+        });
+        let progress = guard.as_ref().map(|g| g.progress());
+        let info = plan.as_ref().map(|(_, info)| info);
+        let (value, s, t) = lyric_engine::run(spec.opts.clone(), tracer, progress, || {
+            let generation = lyric_engine::generation();
+            trace_id.set(generation);
+            if let Some(g) = &guard {
+                g.set_trace_id(generation);
+            }
+            // Borrowed, not moved: the explain node map keys condition
+            // sites by their address in the parsed query.
+            let parsed;
+            let q: &Query = match &early {
+                Some(q) => q,
+                None => {
+                    parsed = front_end(db.shared(), input, gate)?;
+                    &parsed
+                }
+            };
+            admitted.set(true);
+            match q {
+                Query::Select(s) => eval_select_query(db.shared(), s, info),
+                Query::CreateView(v) => match db.exclusive() {
+                    Some(db) => execute_view(db, v),
+                    None => Err(shared_view()),
+                },
+            }
+        });
+        (stats, trace) = (s, t);
+        match value {
+            Ok(answer) => answer.map(|res| QueryResult { stats, ..res }),
+            Err(exceeded) => Err(exceeded.into()),
+        }
+    };
+    let explain = match (plan, &trace, &result) {
+        (Some((plan, info)), Some(t), Ok(_)) => Some(crate::explain::attribute(plan, &info, t)),
+        _ => None,
+    };
+    if let Some(src) = src {
+        if guard.is_some() || (lyric_metrics::enabled() && lyric_metrics::querylog::active()) {
+            let record = QuerySummary {
+                query_hash: lyric_metrics::querylog::query_hash(src),
+                query: flight::inflight::truncate_query(src),
+                outcome: match &result {
+                    Ok(_) => "ok",
+                    Err(LyricError::BudgetExceeded { .. }) => "budget_exceeded",
+                    Err(_) => "error",
+                },
+                resource: match &result {
+                    Err(LyricError::BudgetExceeded { resource, .. }) => resource.name(),
+                    _ => "",
+                },
+                rows: result.as_ref().map_or(0, |res| res.rows.len() as u64),
+                duration_us: started.elapsed().as_micros() as u64,
+                threads: spec.opts.threads.max(1),
+                trace_id: trace_id.get(),
+                end_unix_ms: flight::recorder::unix_ms(),
+                stats,
+                plan: explain
+                    .as_ref()
+                    .filter(|_| crate::explain::slow_explain_active())
+                    .map(|report| report.summary_json(3)),
+            };
+            publish(record, &result, admitted.get(), guard);
+        }
+    }
+    Outcome {
+        result,
+        trace,
+        explain,
+    }
+}
+
+fn shared_view() -> LyricError {
+    LyricError::type_error(
+        "execute_shared evaluates SELECT statements only; CREATE VIEW mutates the database",
+    )
+}
+
+/// Register `src` in the in-flight registry (when the flight recorder is
+/// enabled) for the duration of one run. One switch — `LYRIC_FLIGHT=0` or
+/// `flight::set_enabled(false)` — turns off both the registry and the
+/// completed-query ring, which is the recorder-off baseline experiment
+/// E17 measures against.
+fn register_inflight(src: &str, opts: &ExecOptions) -> Option<flight::InflightGuard> {
+    if !flight::recorder::enabled() {
+        return None;
+    }
+    let b = &opts.budget;
+    Some(flight::register(flight::InflightDesc {
+        query: src.to_string(),
+        query_hash: lyric_metrics::querylog::query_hash(src),
+        threads: opts.threads.max(1),
+        caps: flight::BudgetCaps {
+            pivots: b.max_pivots,
+            fm_atoms: b.max_fm_atoms,
+            disjuncts: b.max_disjuncts,
+            deadline_ms: b.deadline.map(|d| d.as_millis() as u64),
+        },
+        trace_id: 0,
+    }))
+}
+
+/// Hand the one record of a finished query to every sink: the query log,
+/// the flight ring and — on an anomaly — a black-box dump, written
+/// *before* `guard` deregisters so the dump's in-flight section still
+/// holds the offender with its live counters. `admitted` is false for
+/// rejections before evaluation (lex, parse, analysis, a `CREATE VIEW`
+/// the run cannot admit): ordinary user errors, not engine anomalies — no
+/// black box for a typo.
+fn publish(
+    record: QuerySummary,
+    result: &Result<QueryResult, LyricError>,
+    admitted: bool,
+    guard: Option<flight::InflightGuard>,
+) {
+    lyric_metrics::querylog::log(record.duration_us, |slow| record.log_line(slow));
+    let Some(guard) = guard else { return };
+    let trigger = match result {
+        Err(LyricError::BudgetExceeded { .. }) => Some(Trigger::BudgetAbort),
+        Err(_) if admitted => Some(Trigger::EngineError),
+        Err(_) => None,
+        Ok(_) => lyric_metrics::querylog::slow_ms()
+            .filter(|&ms| record.duration_us / 1000 >= ms)
+            .map(|_| Trigger::Slow),
+    };
+    let offender = trigger
+        .map(|_| flight::dump::offender(&record, result.as_ref().err().map(|e| e.to_string())));
+    flight::record_query(record);
+    if let (Some(trigger), Some(offender)) = (trigger, offender) {
+        let _ = flight::dump(trigger, Some(offender));
+    }
+    drop(guard);
 }
 
 /// The admission gate: run the static analyzer (default options) and
@@ -226,303 +472,11 @@ fn analyzer_rejections() -> &'static lyric_metrics::Counter {
     })
 }
 
-/// Write one structured query-log line (see `lyric_metrics::querylog`
-/// for the schema). A no-op unless a log sink is installed. `trace_id`
-/// is the engine context generation captured inside the run, so log
-/// lines correlate with memo-cache generations and trace output; on a
-/// budget abort the engine discards the context's counters, so `stats`
-/// are zero for non-`ok` outcomes. `explain` is the pre-serialized
-/// compact explain-analyze summary attached to slow-query lines when
-/// `LYRIC_SLOW_EXPLAIN=1` (see `crate::explain`).
-pub(crate) fn log_query(
-    src: &str,
-    threads: usize,
-    started: Instant,
-    trace_id: u64,
-    result: &Result<QueryResult, LyricError>,
-    explain: Option<&str>,
-) {
-    use lyric_metrics::querylog::{self, Outcome, Record};
-    if !lyric_metrics::enabled() || !querylog::active() {
-        return;
-    }
-    let zero = lyric_engine::EngineStats::default();
-    let (outcome, rows, stats) = match result {
-        Ok(res) => (Outcome::Ok, res.rows.len() as u64, &res.stats),
-        Err(LyricError::BudgetExceeded { resource, .. }) => {
-            (Outcome::BudgetExceeded(resource.name()), 0, &zero)
-        }
-        Err(_) => (Outcome::Error, 0, &zero),
-    };
-    let named: Vec<(&'static str, u64)> = lyric_engine::trace::stats::COUNTER_NAMES
-        .iter()
-        .copied()
-        .zip(stats.counters())
-        .collect();
-    querylog::log(&Record {
-        query: src,
-        outcome,
-        rows,
-        duration_us: started.elapsed().as_micros() as u64,
-        threads,
-        trace_id,
-        stats: &named,
-        explain,
-    });
-}
-
-/// Register `src` in the in-flight registry (when the flight recorder is
-/// enabled) for the duration of one execution. One switch —
-/// `LYRIC_FLIGHT=0` or `flight::set_enabled(false)` — turns off both the
-/// registry and the completed-query ring, which is the recorder-off
-/// baseline experiment E17 measures against.
-pub(crate) fn flight_begin(
-    src: &str,
-    opts: &lyric_engine::ExecOptions,
-) -> Option<lyric_engine::flight::InflightGuard> {
-    use lyric_engine::flight;
-    if !flight::recorder::enabled() {
-        return None;
-    }
-    let b = &opts.budget;
-    Some(flight::register(flight::InflightDesc {
-        query: src.to_string(),
-        query_hash: lyric_metrics::querylog::query_hash(src),
-        threads: opts.threads.max(1),
-        caps: flight::BudgetCaps {
-            pivots: b.max_pivots,
-            fm_atoms: b.max_fm_atoms,
-            disjuncts: b.max_disjuncts,
-            deadline_ms: b.deadline.map(|d| d.as_millis() as u64),
-        },
-        trace_id: 0,
-    }))
-}
-
-/// Complete a flight scope opened by [`flight_begin`]: push a completed
-/// [`QuerySummary`](lyric_engine::flight::QuerySummary) into the recorder
-/// ring and, on an anomaly — budget abort, engine error after the
-/// analyzer admitted the query, or a `LYRIC_SLOW_MS` breach — write a
-/// black-box dump *before* the guard deregisters, so the dump's in-flight
-/// section still contains the offender with its live counters.
-/// `plan_summary` is the pre-serialized explain-analyze summary when the
-/// query ran under slow-query forensics.
-pub(crate) fn flight_finish(
-    guard: Option<lyric_engine::flight::InflightGuard>,
-    src: &str,
-    threads: usize,
-    started: Instant,
-    trace_id: u64,
-    result: &Result<QueryResult, LyricError>,
-    plan_summary: Option<&str>,
-) {
-    use lyric_engine::flight::{self, Trigger};
-    use lyric_engine::trace::json::Json;
-    let Some(guard) = guard else { return };
-    let zero = lyric_engine::EngineStats::default();
-    let (outcome, resource, rows, stats) = match result {
-        Ok(res) => ("ok", "", res.rows.len() as u64, &res.stats),
-        Err(LyricError::BudgetExceeded { resource, .. }) => {
-            ("budget_exceeded", resource.name(), 0, &zero)
-        }
-        Err(_) => ("error", "", 0, &zero),
-    };
-    let duration_us = started.elapsed().as_micros() as u64;
-    flight::record_query(flight::QuerySummary {
-        query_hash: lyric_metrics::querylog::query_hash(src),
-        query: flight::inflight::truncate_query(src),
-        outcome,
-        resource: resource.to_string(),
-        rows,
-        duration_us,
-        threads,
-        trace_id,
-        end_unix_ms: flight::recorder::unix_ms(),
-        stats: *stats,
-    });
-    let trigger = match result {
-        Err(LyricError::BudgetExceeded { .. }) => Some(Trigger::BudgetAbort),
-        // Front-end rejections are ordinary user errors, not engine
-        // anomalies — no black box for a typo.
-        Err(LyricError::Lex(_) | LyricError::Parse(_) | LyricError::Analysis(_)) => None,
-        Err(_) => Some(Trigger::EngineError),
-        Ok(_) => lyric_metrics::querylog::slow_ms()
-            .filter(|&ms| duration_us / 1000 >= ms)
-            .map(|_| Trigger::Slow),
-    };
-    if let Some(trigger) = trigger {
-        let mut offender = match flight::inflight::current_snapshot().map(|s| s.to_json()) {
-            Some(Json::Obj(pairs)) => pairs,
-            _ => vec![
-                (
-                    "query".to_string(),
-                    Json::str(flight::inflight::truncate_query(src)),
-                ),
-                (
-                    "query_hash".to_string(),
-                    Json::str(format!("{:016x}", lyric_metrics::querylog::query_hash(src))),
-                ),
-            ],
-        };
-        offender.push(("outcome".to_string(), Json::str(outcome)));
-        if !resource.is_empty() {
-            offender.push(("resource".to_string(), Json::str(resource)));
-        }
-        if let Err(e) = result {
-            offender.push(("error".to_string(), Json::str(e.to_string())));
-        }
-        offender.push(("rows".to_string(), Json::int(rows)));
-        offender.push(("duration_us".to_string(), Json::int(duration_us)));
-        if let Some(summary) = plan_summary {
-            let plan =
-                lyric_engine::trace::json::parse(summary).unwrap_or_else(|_| Json::str(summary));
-            offender.push(("plan".to_string(), plan));
-        }
-        let _ = flight::dump(trigger, Some(Json::Obj(offender)));
-    }
-    drop(guard);
-}
-
-/// Parse and execute a statement under a span collector: evaluation runs
-/// inside [`lyric_engine::run_traced`], so every instrumented phase (lex,
-/// parse, analyze, FROM binding, WHERE predicates, SELECT items, LP
-/// solves, FM eliminations) records a span, and the sealed
-/// [`Trace`](lyric_engine::trace::Trace) is returned alongside the result.
-/// The trace's aggregate stats equal [`QueryResult::stats`] exactly — the
-/// per-span deltas partition the query's total work.
-///
-/// The context is installed *before* parsing (unlike [`execute`], whose
-/// parse runs outside any context), so front-end time is attributed too.
-pub fn execute_traced(
-    db: &mut Database,
-    src: &str,
-    budget: lyric_engine::EngineBudget,
-) -> Result<(QueryResult, lyric_engine::trace::Trace), LyricError> {
-    execute_traced_with_options(
-        db,
-        src,
-        &lyric_engine::ExecOptions::default().with_budget(budget),
-    )
-}
-
-/// [`execute_traced`] with explicit [`ExecOptions`](lyric_engine::ExecOptions).
-/// Under a thread budget above 1, the trace grafts per-worker subtrees
-/// (distinct `tid`s) into the single logical query tree; Σ per-span self
-/// stats still equals [`QueryResult::stats`].
-pub fn execute_traced_with_options(
-    db: &mut Database,
-    src: &str,
-    opts: &lyric_engine::ExecOptions,
-) -> Result<(QueryResult, lyric_engine::trace::Trace), LyricError> {
-    let label = src.trim().to_string();
-    let started = Instant::now();
-    let trace_id = Cell::new(0u64);
-    let fguard = flight_begin(src, opts);
-    let progress = fguard.as_ref().map(|g| g.progress());
-    let outcome =
-        lyric_engine::run_traced_opts_flight(opts.clone(), progress, label, src.len(), || {
-            trace_id.set(lyric_engine::generation());
-            if let Some(g) = &fguard {
-                g.set_trace_id(lyric_engine::generation());
-            }
-            let q = parse_query(src)?;
-            check(db, &q)?;
-            execute_in_context(db, &q)
-        });
-    let result = match outcome {
-        Ok((inner, stats, trace)) => inner.map(|mut res| {
-            res.stats = stats;
-            (res, trace)
-        }),
-        Err(exceeded) => Err(exceeded.into()),
-    };
-    if lyric_metrics::querylog::active() || fguard.is_some() {
-        let flat = match &result {
-            Ok((res, _)) => Ok(res.clone()),
-            Err(e) => Err(e.clone()),
-        };
-        log_query(
-            src,
-            opts.threads.max(1),
-            started,
-            trace_id.get(),
-            &flat,
-            None,
-        );
-        flight_finish(
-            fguard,
-            src,
-            opts.threads.max(1),
-            started,
-            trace_id.get(),
-            &flat,
-            None,
-        );
-    }
-    result
-}
-
-/// Install an engine context around the evaluator and translate a budget
-/// abort into [`LyricError::BudgetExceeded`]. With `log_src` present the
-/// query is also written to the structured query log (when a sink is
-/// installed); parsed-only entry points pass `None` since the log keys
-/// lines by source hash.
-fn run_in_context(
-    db: &mut Database,
-    q: &Query,
-    opts: lyric_engine::ExecOptions,
-    log_src: Option<&str>,
-) -> Result<QueryResult, LyricError> {
-    // Slow-query forensics, as in [`execute_shared`]: logged SELECTs run
-    // under explain instrumentation when `LYRIC_SLOW_EXPLAIN=1` is armed.
-    if let (Some(src), Query::Select(s)) = (log_src, q) {
-        if crate::explain::slow_explain_active() {
-            return crate::explain::run_explained_select(db, src, s, &opts).map(|(res, _)| res);
-        }
-    }
-    let started = Instant::now();
-    let trace_id = Cell::new(0u64);
-    let threads = opts.threads.max(1);
-    let fguard = log_src.and_then(|src| flight_begin(src, &opts));
-    let progress = fguard.as_ref().map(|g| g.progress());
-    let result = match lyric_engine::run_with_opts_flight(opts, progress, || {
-        trace_id.set(lyric_engine::generation());
-        if let Some(g) = &fguard {
-            g.set_trace_id(lyric_engine::generation());
-        }
-        execute_in_context(db, q)
-    }) {
-        Ok((inner, stats)) => inner.map(|mut res| {
-            res.stats = stats;
-            res
-        }),
-        Err(exceeded) => Err(exceeded.into()),
-    };
-    if let Some(src) = log_src {
-        log_query(src, threads, started, trace_id.get(), &result, None);
-        flight_finish(fguard, src, threads, started, trace_id.get(), &result, None);
-    }
-    result
-}
-
-/// The evaluator proper; runs inside whatever engine context is installed.
-fn execute_in_context(db: &mut Database, q: &Query) -> Result<QueryResult, LyricError> {
-    match q {
-        Query::Select(s) => eval_select_query(db, s),
-        Query::CreateView(v) => execute_view(db, v),
-    }
-}
-
 /// The `SELECT` arm of the evaluator: needs only shared access to the
 /// database, so [`execute_shared`] can run it from many threads at once.
-fn eval_select_query(db: &Database, s: &SelectQuery) -> Result<QueryResult, LyricError> {
-    eval_select_query_with(db, s, None)
-}
-
-/// [`eval_select_query`] with optional explain instrumentation: when
-/// `explain` is present the operator spans carry plan-node ids and the
+/// With `explain` present the operator spans carry plan-node ids and the
 /// row counters in [`ExplainInfo`](crate::explain::ExplainInfo) are fed.
-pub(crate) fn eval_select_query_with(
+pub(crate) fn eval_select_query(
     db: &Database,
     s: &SelectQuery,
     explain: Option<&crate::explain::ExplainInfo>,
@@ -737,7 +691,7 @@ pub(crate) struct Ctx<'a> {
     pub(crate) db: &'a Database,
     declared: BTreeSet<String>,
     /// Explain instrumentation: the plan-node map and row counters fed by
-    /// `execute_explained`. `None` on every plain evaluation path.
+    /// an explained run. `None` on every plain evaluation path.
     explain: Option<&'a crate::explain::ExplainInfo>,
 }
 

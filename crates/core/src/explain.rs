@@ -9,14 +9,16 @@
 //! FP-algebra optimizer (`lyric_algebra::optimize_explained`) applies to
 //! the query's naive point-free form, reported on the root node.
 //!
-//! [`execute_explained`] additionally runs the query with the plan-node
-//! ids threaded through the evaluator's span instrumentation
+//! [`run`](crate::run) under [`Instrument::Explain`](crate::Instrument)
+//! additionally runs the query with the plan-node ids threaded through
+//! the evaluator's span instrumentation
 //! (`lyric_engine::span_node`) and per-node row counters, then attributes
 //! the sealed trace back to the plan with
 //! [`lyric_trace::plan::analyze`](lyric_engine::trace::plan::analyze).
 //! Two invariants are pinned by `tests/explain_differential.rs`:
 //!
-//! * Σ per-node exclusive counters equals [`QueryResult::stats`]
+//! * Σ per-node exclusive counters equals
+//!   [`QueryResult::stats`](crate::QueryResult::stats)
 //!   **exactly** (the attribution fold is total);
 //! * Σ per-node exclusive time equals the trace's summed span self-time
 //!   exactly, which equals the traced total up to the collector's
@@ -24,9 +26,9 @@
 //!
 //! Every analyzed run also feeds the process-lifetime cost-profile store
 //! (`lyric_metrics::profile`), keyed by `(shape hash, node id)`; and when
-//! `LYRIC_SLOW_EXPLAIN=1` arms slow-query forensics, the normal execution
-//! paths route logged SELECTs through here so the slow-query log line can
-//! carry the top-3-nodes summary ([`ExplainReport::summary_json`]).
+//! `LYRIC_SLOW_EXPLAIN=1` arms slow-query forensics, `run` raises logged
+//! plain SELECTs to explain so the slow-query log line can carry the
+//! top-3-nodes summary ([`ExplainReport::summary_json`]).
 //!
 //! Node ids are assigned in preorder (`0` = the SELECT root) and are
 //! stable for a given query text. The node map uses AST pointer identity:
@@ -35,20 +37,18 @@
 
 use crate::ast::*;
 use crate::error::LyricError;
-use crate::eval::{check, column_name, eval_select_query_with, log_query, QueryResult};
+use crate::eval::{check, column_name};
 use crate::formula::display_path;
 use crate::parser::parse_query;
 use lyric_engine::trace::plan::{self, PlanAnalysis, PlanNode};
-use lyric_engine::trace::Json;
+use lyric_engine::trace::{Json, Trace};
 use lyric_oodb::Database;
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-/// The product of [`explain`] / [`execute_explained`]: the plan tree, the
-/// runtime attribution (absent for plain EXPLAIN), and the shape hash
-/// keying the cost-profile store.
+/// The product of [`explain`] or an explained [`run`](crate::run): the
+/// plan tree, the runtime attribution (absent for plain EXPLAIN), and the
+/// shape hash keying the cost-profile store.
 #[derive(Debug, Clone)]
 pub struct ExplainReport {
     /// The operator tree with static annotations.
@@ -113,145 +113,46 @@ pub fn explain(db: &Database, src: &str) -> Result<ExplainReport, LyricError> {
     })
 }
 
-/// EXPLAIN ANALYZE: execute a `SELECT` statement with plan-node
-/// instrumentation and return the answer alongside the attributed plan.
-/// The answer (columns, rows, semantic stats) is bit-identical to the
-/// plain [`execute_shared`](crate::execute_shared) evaluation — the
-/// instrumentation only observes. Runs under the default
-/// [`ExecOptions`](lyric_engine::ExecOptions).
-pub fn execute_explained(
-    db: &Database,
-    src: &str,
-) -> Result<(QueryResult, ExplainReport), LyricError> {
-    execute_explained_with_options(db, src, &lyric_engine::ExecOptions::default())
-}
-
-/// [`execute_explained`] with explicit
-/// [`ExecOptions`](lyric_engine::ExecOptions). `CREATE VIEW` is rejected
-/// (it mutates the database; use [`explain`] for its static plan).
-pub fn execute_explained_with_options(
-    db: &Database,
-    src: &str,
-    opts: &lyric_engine::ExecOptions,
-) -> Result<(QueryResult, ExplainReport), LyricError> {
-    let q = parse_query(src)?;
-    check(db, &q)?;
-    match &q {
-        Query::Select(s) => run_explained_select(db, src, s, opts),
-        Query::CreateView(_) => Err(LyricError::type_error(
-            "EXPLAIN ANALYZE evaluates SELECT statements only; CREATE VIEW mutates the database",
-        )),
-    }
-}
-
-/// True when slow-query forensics should route plain executions through
-/// the explained runner: a query-log sink is installed, a slow threshold
-/// is configured, and `LYRIC_SLOW_EXPLAIN=1` armed the gate.
+/// True when slow-query forensics should raise plain executions to
+/// [`Instrument::Explain`](crate::Instrument::Explain): a query-log sink
+/// is installed, a slow threshold is configured, and
+/// `LYRIC_SLOW_EXPLAIN=1` armed the gate.
 pub(crate) fn slow_explain_active() -> bool {
     lyric_metrics::enabled()
         && lyric_metrics::querylog::active()
         && lyric_metrics::querylog::slow_explain()
 }
 
-/// The explained runner: trace the evaluation with node-stamped spans,
-/// attribute the trace to the plan, fill the evaluator's row counters in,
-/// feed the cost-profile store, and write the query-log line (with the
-/// top-nodes summary when slow-query forensics is armed). The caller has
-/// already parsed and checked the query.
-pub(crate) fn run_explained_select(
-    db: &Database,
-    src: &str,
-    s: &SelectQuery,
-    opts: &lyric_engine::ExecOptions,
-) -> Result<(QueryResult, ExplainReport), LyricError> {
-    let (plan, info) = build_plan(db, s);
+/// Attribute a completed explained run's trace to its plan: fold the span
+/// tree onto the plan nodes, fill the evaluator's row counters in, and
+/// feed the cost-profile store.
+pub(crate) fn attribute(plan: PlanNode, info: &ExplainInfo, trace: &Trace) -> ExplainReport {
     let shape_hash = plan.shape_hash();
-    let started = Instant::now();
-    let trace_id = Cell::new(0u64);
-    let threads = opts.threads.max(1);
-    let fguard = crate::eval::flight_begin(src, opts);
-    let progress = fguard.as_ref().map(|g| g.progress());
-    let outcome = lyric_engine::run_traced_opts_flight(
-        opts.clone(),
-        progress,
-        src.trim().to_string(),
-        src.len(),
-        || {
-            trace_id.set(lyric_engine::generation());
-            if let Some(g) = &fguard {
-                g.set_trace_id(lyric_engine::generation());
-            }
-            eval_select_query_with(db, s, Some(&info))
-        },
-    );
-    let result = match outcome {
-        Ok((inner, stats, trace)) => inner.map(|mut res| {
-            res.stats = stats;
-            (res, trace)
-        }),
-        Err(exceeded) => Err(exceeded.into()),
-    };
-    match result {
-        Ok((res, trace)) => {
-            let mut analysis = plan::analyze(&plan, &trace);
-            for (id, obs) in analysis.nodes.iter_mut().enumerate() {
-                let (rows_in, rows_out) = info.rows_of(id as u32);
-                obs.rows_in = rows_in;
-                obs.rows_out = rows_out;
-            }
-            for node in plan.by_id() {
-                let obs = &analysis.nodes[node.id as usize];
-                let counters = obs.stats.nonzero_counters();
-                lyric_metrics::profile::record(
-                    shape_hash,
-                    node.id,
-                    node.op,
-                    &lyric_metrics::profile::Obs {
-                        self_us: obs.self_time.as_secs_f64() * 1e6,
-                        rows_in: obs.rows_in,
-                        rows_out: obs.rows_out,
-                        counters: &counters,
-                    },
-                );
-            }
-            let report = ExplainReport {
-                plan,
-                analysis: Some(analysis),
-                shape_hash,
-            };
-            let summary = slow_explain_active().then(|| report.summary_json(3));
-            log_query(
-                src,
-                threads,
-                started,
-                trace_id.get(),
-                &Ok(res.clone()),
-                summary.as_deref(),
-            );
-            crate::eval::flight_finish(
-                fguard,
-                src,
-                threads,
-                started,
-                trace_id.get(),
-                &Ok(res.clone()),
-                summary.as_deref(),
-            );
-            Ok((res, report))
-        }
-        Err(e) => {
-            log_query(src, threads, started, trace_id.get(), &Err(e.clone()), None);
-            crate::eval::flight_finish(
-                fguard,
-                src,
-                threads,
-                started,
-                trace_id.get(),
-                &Err(e.clone()),
-                None,
-            );
-            Err(e)
-        }
+    let mut analysis = plan::analyze(&plan, trace);
+    for (id, obs) in analysis.nodes.iter_mut().enumerate() {
+        let (rows_in, rows_out) = info.rows_of(id as u32);
+        obs.rows_in = rows_in;
+        obs.rows_out = rows_out;
+    }
+    for node in plan.by_id() {
+        let obs = &analysis.nodes[node.id as usize];
+        let counters = obs.stats.nonzero_counters();
+        lyric_metrics::profile::record(
+            shape_hash,
+            node.id,
+            node.op,
+            &lyric_metrics::profile::Obs {
+                self_us: obs.self_time.as_secs_f64() * 1e6,
+                rows_in: obs.rows_in,
+                rows_out: obs.rows_out,
+                counters: &counters,
+            },
+        );
+    }
+    ExplainReport {
+        plan,
+        analysis: Some(analysis),
+        shape_hash,
     }
 }
 
@@ -515,11 +416,20 @@ mod tests {
         assert_eq!(n, report.plan.node_count());
     }
 
+    fn explained(db: &Database, src: &str) -> crate::Outcome {
+        let spec = crate::RunSpec {
+            instrument: crate::Instrument::Explain,
+            ..Default::default()
+        };
+        crate::run(db, src, &spec)
+    }
+
     #[test]
     fn analyze_attributes_everything_and_preserves_the_answer() {
         let mut db = paper_example::database();
         let plain = crate::execute(&mut db, Q).unwrap();
-        let (res, report) = execute_explained(&db, Q).unwrap();
+        let out = explained(&db, Q);
+        let (res, report) = (out.result.unwrap(), out.explain.unwrap());
         assert_eq!(res.columns, plain.columns);
         assert_eq!(res.rows, plain.rows);
         assert_eq!(res.stats.semantic(), plain.stats.semantic());
@@ -541,11 +451,12 @@ mod tests {
     #[test]
     fn explain_analyze_rejects_create_view() {
         let db = paper_example::database();
-        let err = execute_explained(
+        let out = explained(
             &db,
             "CREATE VIEW V AS SUBCLASS OF Thing SELECT D FROM Desk D",
         );
-        assert!(err.is_err());
+        assert!(out.result.is_err());
+        assert!(out.explain.is_none());
     }
 
     #[test]

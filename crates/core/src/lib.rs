@@ -32,7 +32,10 @@
 //! The crate is layered:
 //!
 //! * [`parse_query`] / [`parse_formula`] — the §4.2 grammar;
-//! * [`execute`] — the XSQL-extension semantics: binding enumeration over
+//! * [`run`] — the one query pipeline (front end, one engine context,
+//!   one record of the finished query for every sink), with [`execute`]
+//!   and its siblings as thin wrappers; evaluation implements the
+//!   XSQL-extension semantics: binding enumeration over
 //!   path expressions, schema-derived implicit equality constraints
 //!   (`scope`), CST-formula instantiation, predicate evaluation, CST-object
 //!   creation, `MAX`/`MIN`/`MAX_POINT`/`MIN_POINT`, and
@@ -62,11 +65,10 @@ pub use analyze::{analyze, analyze_src, AnalyzerOptions};
 pub use diag::{Diagnostic, Severity};
 pub use error::{LexError, LyricError, ParseError};
 pub use eval::{
-    execute, execute_parsed, execute_parsed_unchecked, execute_shared, execute_traced,
-    execute_traced_with_options, execute_unchecked, execute_with_budget, execute_with_options,
-    QueryResult,
+    execute, execute_parsed, execute_shared, execute_traced_with_options, execute_unchecked,
+    execute_with_options, run, Instrument, Outcome, QueryResult, RunSpec,
 };
-pub use explain::{execute_explained, execute_explained_with_options, explain, ExplainReport};
+pub use explain::{explain, ExplainReport};
 pub use lexer::{lex, lex_spanned};
 pub use parser::{parse_formula, parse_query};
 pub use span::Span;
@@ -94,7 +96,7 @@ pub use lyric_engine::{default_threads, EngineBudget, EngineStats, ExecOptions};
 pub use lyric_metrics as metrics;
 
 // Re-export the tracing surface (span trees, renderers, exporters) for
-// consumers of [`execute_traced`].
+// consumers of traced runs.
 pub use lyric_engine::trace;
 
 // Re-export the flight recorder and in-flight registry so the serving

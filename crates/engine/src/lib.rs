@@ -15,15 +15,15 @@
 //!
 //! Cost sites call [`note`] (or [`note_many`]) with a [`Resource`]; the
 //! active context counts the work and, when a budget limit is crossed,
-//! unwinds with a [`BudgetExceeded`] payload. [`run_with`] installs a
-//! context, catches that unwind at the boundary, and returns
-//! `Err(BudgetExceeded)` instead — ordinary panics propagate untouched.
-//! With no active context (`note` outside `run_with`) all accounting is a
-//! no-op, so library code is usable standalone at zero cost beyond one
-//! thread-local read.
+//! unwinds with a [`BudgetExceeded`] payload. [`run`] (or its
+//! library-level shorthand [`run_with`]) installs a context, catches that
+//! unwind at the boundary, and returns `Err(BudgetExceeded)` instead —
+//! ordinary panics propagate untouched. With no active context (`note`
+//! outside `run`) all accounting is a no-op, so library code is usable
+//! standalone at zero cost beyond one thread-local read.
 //!
 //! The unwind-based abort uses [`std::panic::panic_any`] with a private
-//! payload type; callers never observe it because `run_with` downcasts at
+//! payload type; callers never observe it because `run` downcasts at
 //! the boundary. Cost sites therefore keep their existing infallible
 //! signatures — exactly the "degrade gracefully instead of hanging"
 //! contract from the roadmap.
@@ -31,11 +31,11 @@
 //!
 //! # Tracing
 //!
-//! [`run_traced`] installs the same context with a [`trace::Collector`]
-//! attached: cost sites additionally open hierarchical spans via [`span`]
-//! and attach structured events via [`trace_event`], and the collector
-//! seals the per-query span tree ([`trace::Trace`]) at the boundary. With
-//! a plain [`run_with`] context (or none), every tracing hook is a no-op
+//! With a [`trace::Collector`] attached, [`run`]'s cost sites
+//! additionally open hierarchical spans via [`span`] and attach
+//! structured events via [`trace_event`], and the collector seals the
+//! per-query span tree ([`trace::Trace`]) at the boundary. Without one
+//! (or with no context at all), every tracing hook is a no-op
 //! that allocates nothing and never invokes its label/event closures —
 //! tracing is strictly opt-in per query.
 
@@ -68,8 +68,7 @@ pub use lyric_trace::{EventKind, SpanKind};
 /// The flight recorder and in-flight registry (re-exported so dependents
 /// need no direct `lyric-flight` dependency). The engine mirrors its
 /// budgeted counters into a registered query's [`flight::Progress`] when
-/// one is attached via [`run_with_opts_flight`] /
-/// [`run_traced_opts_flight`].
+/// one is attached via [`run`].
 pub use lyric_flight as flight;
 
 /// The budgetable resources of the constraint pipeline.
@@ -221,7 +220,7 @@ struct ActiveContext {
     boxes: bool,
     /// Store-index probing of FROM extents enabled for this context?
     index: bool,
-    /// Span/event collector; `Some` only under [`run_traced`].
+    /// Span/event collector; `Some` only when [`run`] was given one.
     tracer: Option<trace::Collector>,
     /// How many deadline thresholds (50%, 90%) have been announced.
     time_thresholds_emitted: usize,
@@ -588,7 +587,7 @@ pub fn span(
 }
 
 /// [`span`] with an explain-plan node id stamped on the recorded span.
-/// `execute_explained` threads stable node ids through the evaluator's
+/// An explained `lyric::run` threads stable node ids through the evaluator's
 /// operator sites so the trace→plan attribution fold can charge each
 /// span's exclusive time and counters to its plan operator; plain
 /// execution passes `None` everywhere (via [`span`]) and pays nothing.
@@ -815,93 +814,40 @@ pub fn dnf_parallel_min_pairs() -> usize {
 /// was crossed. Contexts do not nest: a `run_with` inside an active
 /// context would silently re-scope the outer budget, so it panics —
 /// callers gate on [`is_active`] instead. The thread budget is
-/// [`default_threads`]; use [`run_with_opts`] to pick one explicitly.
+/// [`default_threads`]; use [`run`] to pick every option explicitly.
 pub fn run_with<T>(
     budget: EngineBudget,
     cache: bool,
     f: impl FnOnce() -> T,
 ) -> Result<(T, EngineStats), BudgetExceeded> {
-    run_with_opts(
-        ExecOptions::default().with_budget(budget).with_cache(cache),
-        f,
-    )
+    let opts = ExecOptions::default().with_budget(budget).with_cache(cache);
+    let (value, stats, _) = run(opts, None, None, f);
+    value.map(|value| (value, stats))
 }
 
-/// [`run_with`] with explicit [`ExecOptions`] (budget, cache, threads).
-pub fn run_with_opts<T>(
-    opts: ExecOptions,
-    f: impl FnOnce() -> T,
-) -> Result<(T, EngineStats), BudgetExceeded> {
-    run_inner(opts, None, None, f).map(|(value, stats, _)| (value, stats))
-}
-
-/// [`run_with_opts`] with an in-flight registry progress cell attached:
-/// budgeted counters and the sat/box/index tallies are mirrored into the
-/// cell as the query runs, so `/debug/inflight` shows live movement. Pass
-/// the cell from [`flight::InflightGuard::progress`]; `None` behaves
-/// exactly like [`run_with_opts`].
-pub fn run_with_opts_flight<T>(
-    opts: ExecOptions,
-    flight: Option<Arc<lyric_flight::Progress>>,
-    f: impl FnOnce() -> T,
-) -> Result<(T, EngineStats), BudgetExceeded> {
-    run_inner(opts, None, flight, f).map(|(value, stats, _)| (value, stats))
-}
-
-/// [`run_with`] with a span/event collector attached: cost sites record a
-/// hierarchical [`trace::Trace`] via [`span`] and [`trace_event`], sealed
-/// and returned alongside the stats. `label` names the root span (the
-/// query text, typically) and `source_len` is the source's byte length.
+/// Install a context configured by `opts` for the duration of `f` — the
+/// one context-installing entry point every query runs through.
 ///
-/// On a budget abort the partial trace is discarded with the context —
-/// the caller gets the same `Err(BudgetExceeded)` as [`run_with`].
-pub fn run_traced<T>(
-    budget: EngineBudget,
-    cache: bool,
-    label: impl Into<String>,
-    source_len: usize,
-    f: impl FnOnce() -> T,
-) -> Result<(T, EngineStats, trace::Trace), BudgetExceeded> {
-    run_traced_opts(
-        ExecOptions::default().with_budget(budget).with_cache(cache),
-        label,
-        source_len,
-        f,
-    )
-}
-
-/// [`run_traced`] with explicit [`ExecOptions`]. Under a thread budget
-/// above 1, parallel regions record per-worker subtrees (distinct `tid`s)
-/// grafted into the single logical trace tree.
-pub fn run_traced_opts<T>(
-    opts: ExecOptions,
-    label: impl Into<String>,
-    source_len: usize,
-    f: impl FnOnce() -> T,
-) -> Result<(T, EngineStats, trace::Trace), BudgetExceeded> {
-    run_traced_opts_flight(opts, None, label, source_len, f)
-}
-
-/// [`run_traced_opts`] with an in-flight registry progress cell attached
-/// (see [`run_with_opts_flight`]).
-pub fn run_traced_opts_flight<T>(
-    opts: ExecOptions,
-    flight: Option<Arc<lyric_flight::Progress>>,
-    label: impl Into<String>,
-    source_len: usize,
-    f: impl FnOnce() -> T,
-) -> Result<(T, EngineStats, trace::Trace), BudgetExceeded> {
-    let collector = trace::Collector::new(label, source_len);
-    run_inner(opts, Some(collector), flight, f)
-        .map(|(value, stats, trace)| (value, stats, trace.expect("collector was installed")))
-}
-
-fn run_inner<T>(
+/// * `tracer`: with a [`trace::Collector`] attached, cost sites record a
+///   hierarchical [`trace::Trace`] via [`span`] and [`trace_event`],
+///   sealed and returned alongside the stats (under a thread budget above
+///   1, parallel regions graft per-worker subtrees into it); without
+///   one, every tracing hook is a no-op.
+/// * `progress`: an in-flight registry cell (from
+///   [`flight::InflightGuard::progress`]); budgeted counters and the
+///   sat/box/index tallies are mirrored into it as the query runs, so
+///   `/debug/inflight` shows live movement.
+///
+/// Returns `f`'s value (or the [`BudgetExceeded`] that aborted it), the
+/// context's counters and, when a collector was attached, the sealed
+/// trace. On an abort the counters and the trace cover the work done up
+/// to the abort, so a caller can attribute it.
+pub fn run<T>(
     opts: ExecOptions,
     tracer: Option<trace::Collector>,
-    flight: Option<Arc<lyric_flight::Progress>>,
+    progress: Option<Arc<lyric_flight::Progress>>,
     f: impl FnOnce() -> T,
-) -> Result<(T, EngineStats, Option<trace::Trace>), BudgetExceeded> {
+) -> (Result<T, BudgetExceeded>, EngineStats, Option<trace::Trace>) {
     silence_budget_unwinds();
     let generation = GENERATION.fetch_add(1, Ordering::Relaxed) + 1;
     let threads = opts.threads.max(1);
@@ -941,7 +887,7 @@ fn run_inner<T>(
             dnf_min_pairs,
             shared: None,
             arith_base: lyric_arith::op_counters(),
-            flight,
+            flight: progress,
             flight_base: [0; 3],
         });
     });
@@ -960,10 +906,10 @@ fn run_inner<T>(
     // The one flush point into the process-lifetime registry: worker
     // deltas were already merged into `stats` on region join, so the
     // cumulative counters stay exactly Σ per-query final stats.
-    match outcome {
+    let value = match outcome {
         Ok(value) => {
             metrics::flush_query(&stats, elapsed, None);
-            Ok((value, stats, trace))
+            Ok(value)
         }
         Err(payload) => match payload.downcast::<BudgetUnwind>() {
             Ok(unwound) => {
@@ -972,7 +918,8 @@ fn run_inner<T>(
             }
             Err(other) => resume_unwind(other),
         },
-    }
+    };
+    (value, stats, trace)
 }
 
 #[cfg(test)]
@@ -1081,19 +1028,17 @@ mod tests {
 
     #[test]
     fn traced_run_records_spans_events_and_thresholds() {
-        let ((), stats, trace) = run_traced(
-            EngineBudget::unlimited().with_max_pivots(1_000),
-            true,
-            "test query",
-            10,
-            || {
-                let _w = span(SpanKind::Where, || "w".into(), Some((2, 8)));
-                note_many(Resource::Pivots, 600); // crosses the 50% line
-                note_many(Resource::Pivots, 350); // crosses the 90% line
-                note_cache(true);
-            },
-        )
-        .expect("within budget");
+        let opts =
+            ExecOptions::default().with_budget(EngineBudget::unlimited().with_max_pivots(1_000));
+        let collector = trace::Collector::new("test query", 10);
+        let (value, stats, trace) = run(opts, Some(collector), None, || {
+            let _w = span(SpanKind::Where, || "w".into(), Some((2, 8)));
+            note_many(Resource::Pivots, 600); // crosses the 50% line
+            note_many(Resource::Pivots, 350); // crosses the 90% line
+            note_cache(true);
+        });
+        value.expect("within budget");
+        let trace = trace.expect("collector was attached");
         assert_eq!(stats.pivots, 950);
         assert_eq!(*trace.total_stats(), stats);
         assert_eq!(trace.summed_self_stats(), stats);
@@ -1118,21 +1063,19 @@ mod tests {
     #[test]
     fn span_guard_closes_during_budget_unwind() {
         // A budget abort unwinds through open SpanGuards; Drop must close
-        // them so the sealed trace stays well-formed for run_with callers
-        // (run_traced discards the trace on Err, but the collector still
-        // sees balanced enter/exit).
-        let err = run_traced(
-            EngineBudget::unlimited().with_max_pivots(5),
-            false,
-            "q",
-            1,
-            || {
-                let _g = span(SpanKind::LpSolve, || "solve".into(), None);
-                note_many(Resource::Pivots, 50);
-            },
-        )
-        .expect_err("limit of 5 must trip");
+        // them so the partial trace `run` returns stays well-formed. The
+        // counters returned with the abort are the aborted context's.
+        let opts = ExecOptions::default().with_budget(EngineBudget::unlimited().with_max_pivots(5));
+        let (value, partial, trace) = run(opts, Some(trace::Collector::new("q", 1)), None, || {
+            let _g = span(SpanKind::LpSolve, || "solve".into(), None);
+            note_many(Resource::Pivots, 50);
+        });
+        let err = value.expect_err("limit of 5 must trip");
         assert_eq!(err.resource, Resource::Pivots);
+        assert_eq!(partial.pivots, 50, "the aborting note is counted");
+        let trace = trace.expect("collector was attached");
+        assert_eq!(trace.root.children.len(), 1, "the open span was closed");
+        assert_eq!(*trace.total_stats(), partial);
         assert!(!is_active());
     }
 

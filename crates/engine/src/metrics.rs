@@ -5,7 +5,7 @@
 //! [`EngineMetrics`] struct, so the hot paths pay one `OnceLock` load
 //! plus a striped atomic increment. The per-query [`EngineStats`]
 //! counters are flushed into their cumulative registry counters exactly
-//! once, at the [`run_inner`](crate) boundary teardown — after all
+//! once, at the [`run`](crate::run) boundary teardown — after all
 //! worker deltas have been merged — so the registry totals are *exactly*
 //! the sum of every query's final stats (the `metrics_smoke` CI binary
 //! asserts this equality over a live `/metrics` scrape).

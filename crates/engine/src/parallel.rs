@@ -219,7 +219,7 @@ impl Drop for WorkerContext<'_> {
 ///
 /// `f` runs under a worker engine context: `note`/`tally`/`span` hooks
 /// work as usual, budget aborts propagate to the enclosing
-/// `run_with`/`run_traced` boundary, and recorded spans appear in the
+/// `run` boundary, and recorded spans appear in the
 /// trace under per-worker subtrees with distinct `tid`s.
 pub fn parallel_map<I, R, F>(items: &[I], f: F) -> Vec<R>
 where
@@ -340,9 +340,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        note, note_many, run_traced_opts, run_with_opts, EngineBudget, ExecOptions, Resource,
-    };
+    use crate::{note, note_many, run, EngineBudget, ExecOptions, Resource};
 
     fn opts(threads: usize) -> ExecOptions {
         ExecOptions::default()
@@ -354,13 +352,13 @@ mod tests {
     fn results_keep_item_order() {
         for threads in [1, 2, 4, 8] {
             let items: Vec<u64> = (0..100).collect();
-            let (out, stats) = run_with_opts(opts(threads), || {
+            let (out, stats, _) = run(opts(threads), None, None, || {
                 parallel_map(&items, |i, &x| {
                     note(Resource::Pivots);
                     (i as u64) * 1_000 + x * x
                 })
-            })
-            .unwrap();
+            });
+            let out = out.unwrap();
             let expect: Vec<u64> = (0..100).map(|x| x * 1_000 + x * x).collect();
             assert_eq!(out, expect);
             assert_eq!(stats.pivots, 100, "worker deltas sum to serial count");
@@ -378,19 +376,19 @@ mod tests {
     fn small_regions_stay_serial() {
         // Under MIN_PARALLEL_ITEMS the current thread evaluates everything,
         // so thread-local state set by f is visible to the caller.
-        let ((), _) = run_with_opts(opts(8), || {
+        let (value, _, _) = run(opts(8), None, None, || {
             let items = [1, 2, 3];
             let tid = std::thread::current().id();
             let out = parallel_map(&items, |_, _| std::thread::current().id());
             assert!(out.iter().all(|&t| t == tid));
-        })
-        .unwrap();
+        });
+        value.unwrap();
     }
 
     #[test]
     fn nested_regions_fall_back_to_serial() {
         let items: Vec<u32> = (0..16).collect();
-        let (out, stats) = run_with_opts(opts(4), || {
+        let (out, stats, _) = run(opts(4), None, None, || {
             parallel_map(&items, |_, &x| {
                 let inner: Vec<u32> = (0..8).collect();
                 // Inside a worker, a nested parallel_map must not fork.
@@ -402,8 +400,8 @@ mod tests {
                 });
                 nested.iter().sum::<u32>()
             })
-        })
-        .unwrap();
+        });
+        let out = out.unwrap();
         assert_eq!(out.len(), 16);
         assert_eq!(stats.fm_atoms, 16 * 8);
     }
@@ -411,17 +409,16 @@ mod tests {
     #[test]
     fn budget_abort_propagates_with_serial_classification() {
         let items: Vec<u64> = (0..64).collect();
-        let serial = run_with_opts(opts(1), || {
+        let (serial, _, _) = run(opts(1), None, None, || {
             parallel_map(&items, |_, _| note_many(Resource::Disjuncts, 10))
-        })
-        .map(|_| ());
+        });
         for threads in [2, 4, 8] {
             let mut o = opts(threads);
             o.budget = EngineBudget::unlimited().with_max_disjuncts(100);
-            let err = run_with_opts(o, || {
+            let (value, _, _) = run(o, None, None, || {
                 parallel_map(&items, |_, _| note_many(Resource::Disjuncts, 10))
-            })
-            .expect_err("limit of 100 must trip under parallel execution");
+            });
+            let err = value.expect_err("limit of 100 must trip under parallel execution");
             assert_eq!(err.resource, Resource::Disjuncts);
             assert_eq!(err.limit, 100);
             assert!(err.consumed > 100, "consumed {} <= limit", err.consumed);
@@ -432,7 +429,7 @@ mod tests {
     #[test]
     fn worker_panics_propagate_as_ordinary_panics() {
         let caught = std::panic::catch_unwind(|| {
-            let _ = run_with_opts(opts(4), || {
+            let _ = run(opts(4), None, None, || {
                 let items: Vec<u32> = (0..32).collect();
                 parallel_map(&items, |_, &x| {
                     if x == 17 {
@@ -449,14 +446,16 @@ mod tests {
     #[test]
     fn traced_regions_graft_worker_subtrees() {
         let items: Vec<u32> = (0..32).collect();
-        let ((), stats, trace) = run_traced_opts(opts(4), "q", 1, || {
+        let collector = lyric_trace::Collector::new("q", 1);
+        let (value, stats, trace) = run(opts(4), Some(collector), None, || {
             let _outer = crate::span(crate::SpanKind::Where, || "w".into(), None);
             let _ = parallel_map(&items, |i, _| {
                 let _s = crate::span(crate::SpanKind::SatCheck, || format!("s{i}"), None);
                 note(Resource::Pivots);
             });
-        })
-        .unwrap();
+        });
+        value.unwrap();
+        let trace = trace.expect("collector was attached");
         assert_eq!(stats.pivots, 32);
         assert_eq!(*trace.total_stats(), stats);
         // Σ self-stats still partitions the total across worker subtrees.

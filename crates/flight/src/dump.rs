@@ -154,6 +154,29 @@ pub fn dump(trigger: Trigger, offender: Option<Json>) -> Option<PathBuf> {
     }
 }
 
+/// The offender member for a dump about the finished query `record`:
+/// the calling thread's live in-flight slot (id, elapsed time, progress,
+/// percent of budget) when it still holds one, then the record's members
+/// the slot lacks (outcome, resource, rows, duration, stats, plan), then
+/// `error` when the query failed.
+pub fn offender(record: &recorder::QuerySummary, error: Option<String>) -> Json {
+    let mut pairs = match inflight::current_snapshot().map(|s| s.to_json()) {
+        Some(Json::Obj(pairs)) => pairs,
+        _ => Vec::new(),
+    };
+    if let Json::Obj(members) = record.to_json() {
+        for (key, value) in members {
+            if pairs.iter().all(|(k, _)| *k != key) {
+                pairs.push((key, value));
+            }
+        }
+    }
+    if let Some(error) = error {
+        pairs.push(("error".to_string(), Json::str(error)));
+    }
+    Json::Obj(pairs)
+}
+
 /// The panic-hook entry: dump if (and only if) the panicking thread has
 /// an in-flight query and a dump directory is configured. `payload` is
 /// the rendered panic message. Guarded against recursive panics.

@@ -1,7 +1,7 @@
 //! The in-flight query registry: who is running *right now*, and how
 //! far along are they?
 //!
-//! Every `execute*` entry point registers a slot before evaluation
+//! Every query run (`lyric::run`) registers a slot before evaluation
 //! starts and holds the returned [`InflightGuard`] across the run; the
 //! guard's `Drop` deregisters the slot on **every** exit path — normal
 //! return, error return, budget unwind, and panic — so the registry can

@@ -7,7 +7,7 @@
 //! and streaming items sit on. Three pieces:
 //!
 //! * [`inflight`] — a registry of currently-executing queries. Every
-//!   `execute*` entry registers a slot (query hash + truncated text,
+//!   query run (`lyric::run`) registers a slot (query hash + truncated text,
 //!   start time, thread count, budget caps) and the engine mirrors its
 //!   budgeted counters into the slot's shared atomics, so
 //!   `/debug/inflight` and REPL `:inflight` show live progress and
@@ -17,7 +17,7 @@
 //!   completed-query summaries and sampled trace events (teed from the
 //!   existing `lyric-trace` instrumentation sites; zero-alloc when
 //!   disabled, 1-in-N sampled when enabled).
-//! * [`dump`] — the anomaly black box: on budget abort, panic,
+//! * [`dump`](mod@dump) — the anomaly black box: on budget abort, panic,
 //!   analyzer-pass-but-engine-error, or a `LYRIC_SLOW_MS` breach, the
 //!   recorder state plus the offender's summary is serialized to a
 //!   structured JSON file under `LYRIC_FLIGHT_DIR`.

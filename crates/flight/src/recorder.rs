@@ -112,7 +112,8 @@ pub fn event_tick() -> bool {
         return false;
     }
     static TICK: AtomicU64 = AtomicU64::new(0);
-    TICK.fetch_add(1, Ordering::Relaxed).is_multiple_of(sample_every())
+    TICK.fetch_add(1, Ordering::Relaxed)
+        .is_multiple_of(sample_every())
 }
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
@@ -145,8 +146,11 @@ impl FlightEvent {
     }
 }
 
-/// One completed query in the query ring.
-#[derive(Clone)]
+/// The one record of a finished query. Every sink reads it: the query
+/// ring ([`record_query`]), the structured query log
+/// ([`QuerySummary::log_line`]) and anomaly dumps
+/// ([`crate::dump::offender`]).
+#[derive(Clone, Debug)]
 pub struct QuerySummary {
     /// FNV-1a hash of the full query source.
     pub query_hash: u64,
@@ -155,19 +159,24 @@ pub struct QuerySummary {
     /// `"ok"`, `"budget_exceeded"`, or `"error"`.
     pub outcome: &'static str,
     /// The tripped resource name for budget aborts; empty otherwise.
-    pub resource: String,
+    pub resource: &'static str,
     /// Result rows (0 on error).
     pub rows: u64,
     /// Wall-clock duration in microseconds.
     pub duration_us: u64,
     /// Thread budget the query ran with.
     pub threads: usize,
-    /// Engine context generation.
+    /// Engine context generation (0 when the query was rejected before
+    /// a context was installed).
     pub trace_id: u64,
     /// Completion wall-clock time, ms since the Unix epoch.
     pub end_unix_ms: u64,
-    /// Per-query engine counters.
+    /// Per-query engine counters; on a budget abort, the work done up to
+    /// the abort.
     pub stats: EngineStats,
+    /// Pre-serialized compact explain-analyze summary (the top plan nodes
+    /// by exclusive time) when the query ran under slow-query forensics.
+    pub plan: Option<String>,
 }
 
 impl QuerySummary {
@@ -182,7 +191,7 @@ impl QuerySummary {
             ("outcome".to_string(), Json::str(self.outcome)),
         ];
         if !self.resource.is_empty() {
-            pairs.push(("resource".to_string(), Json::str(self.resource.clone())));
+            pairs.push(("resource".to_string(), Json::str(self.resource)));
         }
         pairs.extend([
             ("rows".to_string(), Json::int(self.rows)),
@@ -202,7 +211,47 @@ impl QuerySummary {
                 ),
             ),
         ]);
+        if let Some(plan) = &self.plan {
+            let plan = lyric_trace::json::parse(plan).unwrap_or_else(|_| Json::str(plan.clone()));
+            pairs.push(("plan".to_string(), plan));
+        }
         Json::Obj(pairs)
+    }
+
+    /// The record as one structured query-log line, without the trailing
+    /// newline (schema v2, documented in `lyric_metrics::querylog`).
+    /// `slow` is the slow-threshold verdict, `None` without a threshold.
+    pub fn log_line(&self, slow: Option<bool>) -> String {
+        let mut out = format!(
+            "{{\"v\":{},\"query_hash\":\"{:016x}\",\"git_rev\":{},\"outcome\":\"{}\"",
+            lyric_metrics::querylog::SCHEMA_VERSION,
+            self.query_hash,
+            Json::str(lyric_metrics::build::git_rev()),
+            self.outcome
+        );
+        if !self.resource.is_empty() {
+            out.push_str(&format!(",\"resource\":{}", Json::str(self.resource)));
+        }
+        out.push_str(&format!(
+            ",\"rows\":{},\"duration_us\":{},\"threads\":{},\"trace_id\":{}",
+            self.rows, self.duration_us, self.threads, self.trace_id
+        ));
+        if let Some(slow) = slow {
+            out.push_str(&format!(",\"slow\":{slow}"));
+        }
+        if let Some(plan) = &self.plan {
+            out.push_str(",\"explain\":");
+            out.push_str(plan);
+        }
+        out.push_str(",\"stats\":{");
+        for (i, (name, value)) in COUNTER_NAMES.iter().zip(self.stats.counters()).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("\"{name}\":{value}"));
+        }
+        out.push_str("}}");
+        out
     }
 }
 
@@ -289,7 +338,7 @@ mod tests {
             query_hash: hash,
             query: "SELECT X FROM Desk X".to_string(),
             outcome: "ok",
-            resource: String::new(),
+            resource: "",
             rows: 1,
             duration_us: 42,
             threads: 1,
@@ -299,7 +348,88 @@ mod tests {
                 pivots: 3,
                 ..Default::default()
             },
+            plan: None,
         }
+    }
+
+    /// The record the query-log line tests format.
+    fn logged() -> QuerySummary {
+        QuerySummary {
+            query_hash: lyric_metrics::querylog::query_hash("SELECT X FROM Desk X"),
+            rows: 3,
+            duration_us: 1500,
+            threads: 2,
+            trace_id: 41,
+            stats: EngineStats {
+                pivots: 7,
+                cache_hits: 2,
+                ..Default::default()
+            },
+            ..summary(0)
+        }
+    }
+
+    #[test]
+    fn record_formats_as_one_json_line() {
+        let line = logged().log_line(None);
+        assert!(!line.contains('\n'));
+        assert!(line.starts_with("{\"v\":2,\"query_hash\":\"159e09cddc8e355c\""));
+        assert!(line.contains("\"git_rev\":\""));
+        assert!(line.contains("\"outcome\":\"ok\""));
+        assert!(line.contains("\"rows\":3"));
+        assert!(line.contains("\"duration_us\":1500"));
+        assert!(line.contains("\"threads\":2"));
+        assert!(line.contains("\"trace_id\":41"));
+        assert!(!line.contains("\"slow\""), "no threshold, no slow member");
+        assert!(line.contains(",\"stats\":{\"pivots\":7,"));
+        assert!(line.contains(",\"cache_hits\":2,"));
+        lyric_trace::json::parse(&line).expect("the line is valid JSON");
+    }
+
+    #[test]
+    fn v2_members_precede_the_v1_body() {
+        // The v2 additions are a prefix extension: everything after
+        // `git_rev` is byte-identical to a v1 line, so consumers that
+        // scan for `"outcome"`, `"explain"`, or `"stats"` substrings
+        // keep working unchanged on both versions.
+        let line = logged().log_line(Some(true));
+        let outcome_at = line.find("\"outcome\"").unwrap();
+        assert!(line.find("\"v\":2").unwrap() < outcome_at);
+        assert!(line.find("\"git_rev\"").unwrap() < outcome_at);
+        // The v1 body keeps its member order.
+        let order = [
+            "\"rows\"",
+            "\"duration_us\"",
+            "\"threads\"",
+            "\"trace_id\"",
+            "\"slow\"",
+            "\"stats\"",
+        ];
+        let at: Vec<usize> = order.iter().map(|m| line.find(m).unwrap()).collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{line}");
+    }
+
+    #[test]
+    fn budget_outcome_carries_the_resource() {
+        let mut r = logged();
+        r.outcome = "budget_exceeded";
+        r.resource = "simplex pivots";
+        let line = r.log_line(None);
+        assert!(line.contains("\"outcome\":\"budget_exceeded\""));
+        assert!(line.contains("\"resource\":\"simplex pivots\""));
+    }
+
+    #[test]
+    fn explain_summary_is_spliced_verbatim() {
+        let mut r = logged();
+        r.plan = Some("[{\"node\":3,\"op\":\"sat\",\"self_us\":120}]".to_string());
+        let line = r.log_line(None);
+        assert!(
+            line.contains(",\"explain\":[{\"node\":3,\"op\":\"sat\",\"self_us\":120}],\"stats\":{"),
+            "{line}"
+        );
+        let json = r.to_json();
+        assert_eq!(json.get("plan").unwrap().as_arr().unwrap().len(), 1);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! observations, keyed by `(query-shape hash, node id)`, accumulated for
 //! the process lifetime.
 //!
-//! Every `execute_explained` run feeds one [`Obs`] per plan node here;
+//! Every explained run (`lyric::run` under `Instrument::Explain`) feeds
+//! one [`Obs`] per plan node here;
 //! the store keeps an exponentially-weighted moving average of each
 //! feature with **α = 1/8**: after observation `x`, each average moves
 //! `x̄ ← x̄ + α·(x − x̄)` (the first observation seeds `x̄ = x` directly).
@@ -29,8 +30,8 @@ pub const ALPHA: f64 = 0.125;
 /// Cap on distinct `(shape, node)` sites retained.
 pub const MAX_SITES: usize = 4096;
 
-/// One runtime observation of one plan node, as fed by
-/// `execute_explained`.
+/// One runtime observation of one plan node, as fed by an explained
+/// run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Obs<'a> {
     /// Exclusive wall-clock microseconds attributed to the node.

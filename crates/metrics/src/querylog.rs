@@ -26,6 +26,13 @@
 //!   `EngineStats::COUNTER_NAMES`.
 //! * `slow` — present and `true` when `LYRIC_SLOW_MS` is configured and
 //!   the query met the threshold.
+//! * `explain` — present only when slow-query forensics
+//!   (`LYRIC_SLOW_EXPLAIN=1` plus a threshold) ran the query explained:
+//!   the top plan nodes by exclusive time.
+//!
+//! Lines are rendered from the finished query's one record,
+//! `lyric_flight::QuerySummary::log_line`; this module owns the sink, the
+//! thresholds and the schema version.
 //!
 //! The full member-by-member schema (both versions) is documented in
 //! DESIGN.md §4g.
@@ -44,7 +51,7 @@ use std::io::Write;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock};
 
-/// The query-log line schema version written by [`format_record`].
+/// The query-log line schema version (the `v` member).
 /// Bumped to 2 when `git_rev` (and the `v` member itself) were added;
 /// v1 lines carry neither.
 pub const SCHEMA_VERSION: u64 = 2;
@@ -57,40 +64,6 @@ pub fn query_hash(src: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// How one query ended, for the `outcome` field.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Outcome<'a> {
-    /// Evaluation completed.
-    Ok,
-    /// A resource budget tripped; carries the resource name.
-    BudgetExceeded(&'a str),
-    /// Any other evaluation error.
-    Error,
-}
-
-/// One query-log record; [`log`] serializes it as a single JSON line.
-pub struct Record<'a> {
-    /// The query source text (hashed, never logged verbatim).
-    pub query: &'a str,
-    /// How the query ended.
-    pub outcome: Outcome<'a>,
-    /// Result rows (0 on error).
-    pub rows: u64,
-    /// Wall-clock duration in microseconds.
-    pub duration_us: u64,
-    /// The thread budget the query ran with.
-    pub threads: usize,
-    /// The engine context generation (doubles as a per-process trace id).
-    pub trace_id: u64,
-    /// Per-query engine counters as `(name, value)` pairs.
-    pub stats: &'a [(&'static str, u64)],
-    /// Pre-serialized compact explain-analyze summary (the top nodes by
-    /// exclusive time), spliced verbatim into the line as the `explain`
-    /// member. Populated only when `LYRIC_SLOW_EXPLAIN=1` and the slow
-    /// threshold is configured; `None` otherwise.
-    pub explain: Option<&'a str>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -235,96 +208,33 @@ pub(crate) fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Serialize a record as its one-line JSON form (no trailing newline).
-pub fn format_record(r: &Record<'_>) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str(&format!("{{\"v\":{SCHEMA_VERSION},\"query_hash\":"));
-    push_json_str(&mut out, &format!("{:016x}", query_hash(r.query)));
-    out.push_str(",\"git_rev\":");
-    push_json_str(&mut out, crate::build::git_rev());
-    out.push_str(",\"outcome\":");
-    match r.outcome {
-        Outcome::Ok => out.push_str("\"ok\""),
-        Outcome::BudgetExceeded(resource) => {
-            out.push_str("\"budget_exceeded\",\"resource\":");
-            push_json_str(&mut out, resource);
-        }
-        Outcome::Error => out.push_str("\"error\""),
-    }
-    out.push_str(&format!(
-        ",\"rows\":{},\"duration_us\":{},\"threads\":{},\"trace_id\":{}",
-        r.rows, r.duration_us, r.threads, r.trace_id
-    ));
-    if let Some(thr) = slow_ms() {
-        let slow = r.duration_us >= thr.saturating_mul(1000);
-        out.push_str(if slow {
-            ",\"slow\":true"
-        } else {
-            ",\"slow\":false"
-        });
-    }
-    if let Some(explain) = r.explain {
-        out.push_str(",\"explain\":");
-        out.push_str(explain);
-    }
-    out.push_str(",\"stats\":{");
-    for (i, (name, value)) in r.stats.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, name);
-        out.push_str(&format!(":{value}"));
-    }
-    out.push_str("}}");
-    out
-}
-
-/// Log one query. A no-op when metrics are disabled or no sink is
-/// installed; when a slow threshold is configured, only queries at or
-/// above it are written (each also bumping `lyric_slow_queries_total`).
-pub fn log(r: &Record<'_>) {
-    if !crate::enabled() {
+/// Log one query that ran for `duration_us`. A no-op when metrics are
+/// disabled or no sink is installed; when a slow threshold is configured,
+/// only queries at or above it are written (each also bumping
+/// `lyric_slow_queries_total`). `line` renders the JSON line (no trailing
+/// newline) from the slow verdict — `None` without a threshold — and runs
+/// only when the line is written.
+pub fn log(duration_us: u64, line: impl FnOnce(Option<bool>) -> String) {
+    if !crate::enabled() || !active() {
         return;
     }
-    let slow = match slow_ms() {
-        Some(thr) => {
-            let slow = r.duration_us >= thr.saturating_mul(1000);
-            if slow {
-                slow_counter().inc();
-            }
-            Some(slow)
-        }
-        None => None,
-    };
-    if slow == Some(false) {
-        return;
+    let slow = slow_ms().map(|thr| duration_us >= thr.saturating_mul(1000));
+    match slow {
+        Some(false) => return,
+        Some(true) => slow_counter().inc(),
+        None => {}
     }
-    let mut guard = lock(sink_slot());
-    let Some(sink) = guard.as_mut() else {
-        return;
-    };
-    let mut line = format_record(r);
+    let mut line = line(slow);
     line.push('\n');
-    let _ = sink.write_all(line.as_bytes());
-    let _ = sink.flush();
+    if let Some(sink) = lock(sink_slot()).as_mut() {
+        let _ = sink.write_all(line.as_bytes());
+        let _ = sink.flush();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn record<'a>(stats: &'a [(&'static str, u64)]) -> Record<'a> {
-        Record {
-            query: "SELECT X FROM Desk X",
-            outcome: Outcome::Ok,
-            rows: 3,
-            duration_us: 1500,
-            threads: 2,
-            trace_id: 41,
-            stats,
-            explain: None,
-        }
-    }
 
     #[test]
     fn fnv_hash_is_stable() {
@@ -333,59 +243,24 @@ mod tests {
         assert_ne!(query_hash("SELECT X"), query_hash("SELECT  X"));
     }
 
+    /// One test for everything that touches the process-global sink and
+    /// thresholds, so parallel unit tests never race on them.
     #[test]
-    fn record_formats_as_one_json_line() {
-        let stats = [("pivots", 7u64), ("cache_hits", 2u64)];
-        let line = format_record(&record(&stats));
-        assert!(!line.contains('\n'));
-        assert!(line.starts_with("{\"v\":2,\"query_hash\":\""));
-        assert!(line.contains("\"git_rev\":\""));
-        assert!(line.contains("\"outcome\":\"ok\""));
-        assert!(line.contains("\"rows\":3"));
-        assert!(line.contains("\"duration_us\":1500"));
-        assert!(line.contains("\"trace_id\":41"));
-        assert!(line.contains("\"stats\":{\"pivots\":7,\"cache_hits\":2}"));
-    }
-
-    #[test]
-    fn v2_members_precede_the_v1_body() {
-        // The v2 additions are a prefix extension: everything after
-        // `git_rev` is byte-identical to a v1 line, so consumers that
-        // scan for `"outcome"`, `"explain"`, or `"stats"` substrings
-        // keep working unchanged on both versions.
-        let stats = [("pivots", 7u64)];
-        let line = format_record(&record(&stats));
-        let outcome_at = line.find("\"outcome\"").unwrap();
-        assert!(line.find("\"v\":2").unwrap() < outcome_at);
-        assert!(line.find("\"git_rev\"").unwrap() < outcome_at);
-    }
-
-    #[test]
-    fn budget_outcome_carries_the_resource() {
-        let stats = [("pivots", 100u64)];
-        let mut r = record(&stats);
-        r.outcome = Outcome::BudgetExceeded("simplex pivots");
-        let line = format_record(&r);
-        assert!(line.contains("\"outcome\":\"budget_exceeded\""));
-        assert!(line.contains("\"resource\":\"simplex pivots\""));
-    }
-
-    #[test]
-    fn explain_summary_is_spliced_verbatim() {
-        let stats = [("pivots", 7u64)];
-        let mut r = record(&stats);
-        r.explain = Some("[{\"node\":3,\"op\":\"sat\",\"self_us\":120}]");
-        let line = format_record(&r);
-        assert!(
-            line.contains(",\"explain\":[{\"node\":3,\"op\":\"sat\",\"self_us\":120}],\"stats\":{"),
-            "{line}"
-        );
-    }
-
-    #[test]
-    fn slow_explain_gate_requires_a_threshold() {
-        set_slow_explain(true);
+    fn slow_threshold_gates_lines_and_the_explain_gate() {
+        crate::set_enabled(true);
+        let buf = capture();
+        set_slow_ms(Some(5));
+        log(4_999, |_| {
+            unreachable!("under the threshold nothing renders")
+        });
+        log(5_000, |slow| format!("{{\"slow\":{}}}", slow.unwrap()));
         set_slow_ms(None);
+        log(1, |slow| format!("{{\"slow\":{}}}", slow.is_some()));
+        set_sink(None);
+        let text = String::from_utf8(lock(&buf).clone()).unwrap();
+        assert_eq!(text, "{\"slow\":true}\n{\"slow\":false}\n");
+
+        set_slow_explain(true);
         assert!(!slow_explain(), "no threshold, nothing to attach to");
         set_slow_ms(Some(5));
         assert!(slow_explain());

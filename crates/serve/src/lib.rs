@@ -22,10 +22,10 @@
 //!   database's store-index state;
 //! * `POST /query` — the request body is either a raw LyriC `SELECT`
 //!   statement or a JSON object `{"query": "...", "explain": bool}`,
-//!   evaluated against the server's shared [`Database`] via
-//!   [`execute_shared`] (or `execute_explained_with_options` when
-//!   `explain` is true, adding a `plan` member — the operator tree with
-//!   runtime attribution); the response is a JSON object with `columns`,
+//!   evaluated against the server's shared [`Database`] by one
+//!   [`lyric::run`] call (under [`Instrument::Explain`] when `explain` is
+//!   true, adding a `plan` member — the operator tree with runtime
+//!   attribution); the response is a JSON object with `columns`,
 //!   `row_count`, `rows` (oids as strings), `duration_ms`, and the
 //!   per-query `stats` counters, or `{"error": ...}` with status 400.
 //!   JSON bodies are validated strictly: unknown members, a non-string
@@ -45,7 +45,7 @@
 
 use lyric::oodb::Database;
 use lyric::trace::Json;
-use lyric::{execute_shared, ExecOptions};
+use lyric::{ExecOptions, Instrument, RunSpec};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -222,18 +222,18 @@ fn parse_query_body(body: &str) -> Result<QueryRequest, String> {
 /// carries the message for a 400 response.
 fn run_query(db: &Database, opts: &ExecOptions, body: &str) -> Result<Json, String> {
     let req = parse_query_body(body)?;
-    let src = req.query.trim();
-    let started = Instant::now();
-    let (result, report) = if req.explain {
-        lyric::execute_explained_with_options(db, src, opts)
-            .map(|(res, rep)| (res, Some(rep)))
-            .map_err(|e| e.to_string())?
+    let instrument = if req.explain {
+        Instrument::Explain
     } else {
-        (
-            execute_shared(db, src, opts).map_err(|e| e.to_string())?,
-            None,
-        )
+        Instrument::Off
     };
+    let spec = RunSpec {
+        opts: opts.clone(),
+        instrument,
+    };
+    let started = Instant::now();
+    let out = lyric::run(db, req.query.trim(), &spec);
+    let result = out.result.map_err(|e| e.to_string())?;
     let duration_ms = started.elapsed().as_secs_f64() * 1e3;
     let columns: Vec<Json> = result.columns.iter().map(Json::str).collect();
     let rows: Vec<Json> = result
@@ -255,7 +255,9 @@ fn run_query(db: &Database, opts: &ExecOptions, body: &str) -> Result<Json, Stri
         ("duration_ms".to_string(), Json::Num(duration_ms)),
         ("stats".to_string(), stats),
     ];
-    if let Some(report) = report {
+    // Slow-query forensics may explain a plain request; only an explicit
+    // `explain` asks for the plan in the reply.
+    if let Some(report) = out.explain.filter(|_| req.explain) {
         reply.push(("plan".to_string(), report.to_json()));
     }
     Ok(Json::Obj(reply))

@@ -28,7 +28,7 @@ struct Pending {
     node: Option<u32>,
 }
 
-/// Accumulates one query's span tree. Created by `lyric_engine::run_traced`
+/// Accumulates one query's span tree. Handed to `lyric_engine::run`
 /// and fed through the engine's span/event hooks. Parallel regions create
 /// one [`Collector::worker`] per worker thread against the *same* origin
 /// `Instant`, so worker offsets nest inside the parent's open span; the
@@ -120,7 +120,7 @@ impl Collector {
     }
 
     /// [`enter`](Collector::enter) with an explain-plan node id stamped on
-    /// the span; `execute_explained` threads the id so the attribution
+    /// the span; an explained run threads the id so the attribution
     /// fold ([`crate::plan::analyze`]) can charge the span's exclusive
     /// time and counters to its plan operator.
     pub fn enter_node(

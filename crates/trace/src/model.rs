@@ -172,7 +172,7 @@ pub struct TraceSpan {
     /// Child spans, in execution order.
     pub children: Vec<TraceSpan>,
     /// The explain-plan node this span is attributed to, when the query
-    /// ran under `execute_explained`. Spans without a node id (engine
+    /// ran explained. Spans without a node id (engine
     /// internals such as LP solves, or anything below the instrumented
     /// operator sites) are attributed to their nearest annotated ancestor
     /// by [`crate::plan::analyze`]; `None` everywhere on plain traces.

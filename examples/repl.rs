@@ -64,7 +64,7 @@
 
 use lyric::{
     default_threads, execute_traced_with_options, execute_with_options, paper_example,
-    EngineBudget, ExecOptions,
+    EngineBudget, ExecOptions, Instrument, RunSpec,
 };
 use std::io::{self, BufRead, Write};
 
@@ -225,15 +225,11 @@ fn meta_command(db: &mut lyric::oodb::Database, session: &mut Session, cmd: &str
             if src.is_empty() {
                 println!("usage: :check <query>  (single line, ';' optional)");
             } else {
-                let diags = lyric_analyze::analyze_src(
-                    db.schema(),
-                    src,
-                    &lyric_analyze::AnalyzerOptions::deep(),
-                );
+                let diags = lyric::analyze_src(db.schema(), src, &lyric::AnalyzerOptions::deep());
                 if diags.is_empty() {
                     println!("ok: no diagnostics");
                 } else {
-                    print!("{}", lyric_analyze::render_all(&diags, src));
+                    print!("{}", lyric::diag::render_all(&diags, src));
                 }
             }
         }
@@ -273,12 +269,18 @@ fn meta_command(db: &mut lyric::oodb::Database, session: &mut Session, cmd: &str
             if src.is_empty() {
                 println!("usage: :explain [analyze] <query>  (single line, ';' optional)");
             } else if analyze {
-                match lyric::execute_explained_with_options(db, src, &session.exec_options()) {
-                    Ok((result, report)) => {
+                let spec = RunSpec {
+                    opts: session.exec_options(),
+                    instrument: Instrument::Explain,
+                };
+                let out = lyric::run(&*db, src, &spec);
+                match (out.result, out.explain) {
+                    (Ok(result), Some(report)) => {
                         println!("({} row{})", result.rows.len(), plural(result.rows.len()));
                         print!("{}", report.render());
                     }
-                    Err(e) => println!("error: {e}"),
+                    (Err(e), _) => println!("error: {e}"),
+                    (Ok(_), None) => unreachable!("a completed explained run carries its plan"),
                 }
             } else {
                 match lyric::explain(db, src) {

@@ -4,7 +4,7 @@
 //! leave every result unchanged.
 
 use lyric::engine::{run_with, EngineBudget, Resource};
-use lyric::{execute, execute_with_budget, LyricError};
+use lyric::{execute, execute_with_options, ExecOptions, LyricError};
 use lyric_bench::workload;
 use lyric_constraint::Var;
 use std::time::{Duration, Instant};
@@ -75,13 +75,21 @@ fn dnf_negation_aborts_under_disjunct_budget() {
     assert!(err.consumed > err.limit, "{err}");
 }
 
+fn budget(b: EngineBudget) -> ExecOptions {
+    ExecOptions::default().with_budget(b)
+}
+
 #[test]
 fn query_level_budget_returns_structured_error() {
     let mut db = lyric::paper_example::database();
     let query = "SELECT CO, ((u,v) | E AND D AND x = 6 AND y = 4)
          FROM Office_Object CO WHERE CO.extent[E] AND CO.translation[D]";
-    let err = execute_with_budget(&mut db, query, EngineBudget::unlimited().with_max_pivots(1))
-        .expect_err("1 pivot cannot evaluate a paper query");
+    let err = execute_with_options(
+        &mut db,
+        query,
+        &budget(EngineBudget::unlimited().with_max_pivots(1)),
+    )
+    .expect_err("1 pivot cannot evaluate a paper query");
     match err {
         LyricError::BudgetExceeded {
             resource,
@@ -96,7 +104,7 @@ fn query_level_budget_returns_structured_error() {
     }
     // The same query under the interactive envelope completes and reports
     // its work.
-    let res = execute_with_budget(&mut db, query, EngineBudget::interactive())
+    let res = execute_with_options(&mut db, query, &budget(EngineBudget::interactive()))
         .expect("interactive budget is generous enough for paper queries");
     assert_eq!(res.rows.len(), 2);
     assert!(res.stats.pivots > 0);
@@ -105,7 +113,7 @@ fn query_level_budget_returns_structured_error() {
 #[test]
 fn default_budget_leaves_results_unchanged() {
     // The same statements through `execute` (unlimited budget, cache on)
-    // and `execute_with_budget(interactive)` answer identically.
+    // and the interactive envelope answer identically.
     let queries = [
         "SELECT Y FROM Desk X WHERE X.drawer.extent[Y]",
         "SELECT CO, ((u,v) | E AND D AND x = 6 AND y = 4)
@@ -117,7 +125,7 @@ fn default_budget_leaves_results_unchanged() {
         let mut db1 = lyric::paper_example::database();
         let mut db2 = lyric::paper_example::database();
         let unlimited = execute(&mut db1, q).expect("paper query evaluates");
-        let budgeted = execute_with_budget(&mut db2, q, EngineBudget::interactive())
+        let budgeted = execute_with_options(&mut db2, q, &budget(EngineBudget::interactive()))
             .expect("interactive budget suffices");
         assert_eq!(unlimited, budgeted, "answers must not depend on the budget");
     }

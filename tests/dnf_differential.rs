@@ -98,11 +98,10 @@ proptest! {
             let o = lyric::ExecOptions::default()
                 .with_cache(false)
                 .with_arith_fast(fast);
-            let (out, _stats) = lyric::engine::run_with_opts(o, || {
+            let (out, _, _) = lyric::engine::run(o, None, None, || {
                 (a.and(&b), a.or(&b), a.simplify(), a.negate())
-            })
-            .expect("unlimited budget");
-            out
+            });
+            out.expect("unlimited budget")
         };
         let fast = run(true);
         let big = run(false);

@@ -19,7 +19,23 @@
 //!   stable for a query text across runs and thread counts.
 
 use lyric::trace::plan::validate_plan_json;
-use lyric::{execute_explained_with_options, execute_with_options, paper_example, ExecOptions};
+use lyric::{execute_with_options, paper_example, ExecOptions, ExplainReport, Instrument, RunSpec};
+use lyric::{LyricError, QueryResult};
+
+/// An EXPLAIN ANALYZE run: the answer and its attributed plan.
+fn explained(
+    db: &lyric::oodb::Database,
+    q: &str,
+    o: &ExecOptions,
+) -> Result<(QueryResult, ExplainReport), LyricError> {
+    let spec = RunSpec {
+        opts: o.clone(),
+        instrument: Instrument::Explain,
+    };
+    let out = lyric::run(db, q, &spec);
+    out.result
+        .map(|res| (res, out.explain.expect("a completed explained run")))
+}
 
 const PAPER_QUERIES: [&str; 5] = [
     "SELECT Y FROM Desk X WHERE X.drawer.extent[Y]",
@@ -68,8 +84,8 @@ fn assert_explain_free(
 ) -> (u64, Vec<(u64, u64)>) {
     let plain = execute_with_options(&mut db.clone(), q, o)
         .unwrap_or_else(|e| panic!("{label}: plain run failed: {e}"));
-    let (explained, report) = execute_explained_with_options(db, q, o)
-        .unwrap_or_else(|e| panic!("{label}: explained run failed: {e}"));
+    let (explained, report) =
+        explained(db, q, o).unwrap_or_else(|e| panic!("{label}: explained run failed: {e}"));
     assert_same_answer(&explained, &plain, label);
     assert_eq!(
         explained.stats.semantic(),
@@ -147,8 +163,8 @@ fn paper_queries_are_explain_invariant() {
 fn shape_hash_survives_cache_warming() {
     let db = paper_example::database();
     let o = ExecOptions::default();
-    let (_, first) = execute_explained_with_options(&db, PAPER_QUERIES[1], &o).unwrap();
-    let (_, second) = execute_explained_with_options(&db, PAPER_QUERIES[1], &o).unwrap();
+    let (_, first) = explained(&db, PAPER_QUERIES[1], &o).unwrap();
+    let (_, second) = explained(&db, PAPER_QUERIES[1], &o).unwrap();
     assert_eq!(first.shape_hash, second.shape_hash);
     assert_eq!(first.plan, second.plan, "static plan is identical");
 }
@@ -161,7 +177,7 @@ fn explained_budget_aborts_match_plain() {
     let o = ExecOptions::default().with_budget(EngineBudget::default().with_max_pivots(1));
     let q = PAPER_QUERIES[4]; // the LP query must pivot
     let plain = execute_with_options(&mut db.clone(), q, &o);
-    let explained = execute_explained_with_options(&db, q, &o);
+    let explained = explained(&db, q, &o);
     match (&plain, &explained) {
         (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
         other => panic!(

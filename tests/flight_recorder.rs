@@ -6,7 +6,7 @@
 //! the tests that touch them serialize on one mutex.
 
 use lyric::engine::EngineBudget;
-use lyric::{execute_shared, execute_with_budget, paper_example, ExecOptions, LyricError};
+use lyric::{execute_shared, execute_with_options, paper_example, ExecOptions, LyricError};
 use lyric_bench::workload::{self, Q_PAIRWISE};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,7 +44,9 @@ fn dumps_in(dir: &PathBuf, trigger: &str) -> Vec<PathBuf> {
 /// the query, outcome, and tripped resource, and whose in-flight
 /// section still contains the aborting slot (the dump is written
 /// *before* the registry guard releases). The registry itself is empty
-/// once the call returns, and the recorder ring holds the summary.
+/// once the call returns, and the recorder ring holds the summary. Both
+/// the offender and the ring entry carry the work the query did before
+/// it aborted, not zeros.
 #[test]
 fn budget_abort_writes_one_attributed_dump() {
     let _lock = DUMP_STATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -55,7 +57,8 @@ fn budget_abort_writes_one_attributed_dump() {
     let mut db = paper_example::database();
     let query = "SELECT CO, ((u,v) | E AND D AND x = 6 AND y = 4)
          FROM Office_Object CO WHERE CO.extent[E] AND CO.translation[D]";
-    let err = execute_with_budget(&mut db, query, EngineBudget::unlimited().with_max_pivots(1))
+    let opts = ExecOptions::default().with_budget(EngineBudget::unlimited().with_max_pivots(1));
+    let err = execute_with_options(&mut db, query, &opts)
         .expect_err("1 pivot cannot evaluate a paper query");
     assert!(matches!(err, LyricError::BudgetExceeded { .. }), "{err}");
     lyric::flight::set_dump_dir(None);
@@ -88,6 +91,15 @@ fn budget_abort_writes_one_attributed_dump() {
             .contains("pivot"),
         "tripped resource named"
     );
+    let pivots = offender
+        .get("stats")
+        .and_then(|s| s.get("pivots"))
+        .and_then(|p| p.as_f64())
+        .unwrap_or(0.0);
+    assert!(
+        pivots > 0.0,
+        "offender carries the partial counters: {offender}"
+    );
     let inflight = doc.get("inflight").unwrap().as_arr().unwrap();
     assert!(
         inflight
@@ -102,8 +114,9 @@ fn budget_abort_writes_one_attributed_dump() {
             .any(
                 |q| q.query_hash == lyric::metrics::querylog::query_hash(query)
                     && q.outcome == "budget_exceeded"
+                    && q.stats.pivots > 0
             ),
-        "recorder ring holds the aborted query's summary"
+        "recorder ring holds the aborted query's summary with its partial counters"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

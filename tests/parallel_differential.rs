@@ -198,10 +198,8 @@ fn dnf_operations_are_thread_count_invariant() {
             let o = ExecOptions::default()
                 .with_cache(false)
                 .with_threads(threads);
-            let ((prod, simp), _stats) =
-                lyric::engine::run_with_opts(o, || (a.and(&b), a.simplify()))
-                    .expect("unlimited budget");
-            (prod, simp)
+            let (out, _, _) = lyric::engine::run(o, None, None, || (a.and(&b), a.simplify()));
+            out.expect("unlimited budget")
         };
         let (prod1, simp1) = run(1);
         for threads in [2usize, 4, 8] {

@@ -1,6 +1,6 @@
 //! Well-formedness properties of emitted span trees.
 //!
-//! Every trace from [`lyric::execute_traced`] must satisfy: a single
+//! Every trace from [`lyric::execute_traced_with_options`] must satisfy: a single
 //! `query` root covering the whole source; children nested within their
 //! parent's time interval, in disjoint start order *per logical thread*
 //! (siblings with different `tid`s ran concurrently and may overlap); and
@@ -13,8 +13,7 @@
 use lyric::trace::{SpanKind, Trace, TraceSpan, MAIN_TID};
 use lyric::ExecOptions;
 use lyric::{
-    execute_traced, execute_traced_with_options, execute_with_options, paper_example, EngineBudget,
-    EngineStats,
+    execute_traced_with_options, execute_with_options, paper_example, EngineBudget, EngineStats,
 };
 use lyric_bench::workload::{self, Q_LINEAR, Q_PAIRWISE};
 use proptest::prelude::*;
@@ -81,7 +80,7 @@ fn q1_trace_partitions_query_stats() {
     let mut db = paper_example::database();
     let src = PAPER_QUERIES[0];
     let (res, trace) =
-        execute_traced(&mut db, src, EngineBudget::unlimited()).expect("q1 evaluates");
+        execute_traced_with_options(&mut db, src, &ExecOptions::default()).expect("q1 evaluates");
     assert_eq!(res.rows.len(), 1);
     assert_well_formed(&trace, &res.stats);
     // The root covers the whole source and the front-end phases are there.
@@ -104,14 +103,15 @@ fn q1_trace_partitions_query_stats() {
 fn paper_query_traces_are_well_formed() {
     for src in PAPER_QUERIES {
         let mut db = paper_example::database();
-        let (res, trace) =
-            execute_traced(&mut db, src, EngineBudget::unlimited()).expect("paper query evaluates");
+        let (res, trace) = execute_traced_with_options(&mut db, src, &ExecOptions::default())
+            .expect("paper query evaluates");
         assert_well_formed(&trace, &res.stats);
     }
     // The entailment query (Q4) actually records an entailment-check span.
     let mut db = paper_example::database();
     let (_, trace) =
-        execute_traced(&mut db, PAPER_QUERIES[2], EngineBudget::unlimited()).expect("q4 evaluates");
+        execute_traced_with_options(&mut db, PAPER_QUERIES[2], &ExecOptions::default())
+            .expect("q4 evaluates");
     let mut saw_entail = false;
     trace
         .root
@@ -182,11 +182,7 @@ proptest! {
     #[test]
     fn workload_traces_are_well_formed(n in 2usize..12, seed in 0u64..1_000) {
         let db = workload::office_db(n, seed);
-        let (traced_res, trace) = execute_traced(
-            &mut db.clone(),
-            Q_LINEAR,
-            EngineBudget::unlimited(),
-        )
+        let (traced_res, trace) = execute_traced_with_options(&mut db.clone(), Q_LINEAR, &ExecOptions::default())
         .expect("linear query evaluates");
         assert_well_formed(&trace, &traced_res.stats);
         let plain_res = lyric::execute(&mut db.clone(), Q_LINEAR).expect("linear query evaluates");
