@@ -120,7 +120,7 @@ impl Conjunction {
     /// proves nothing. Memoized per engine generation under a context with
     /// box pruning enabled.
     pub fn interval_box(&self) -> crate::IntervalBox {
-        crate::boxcache::box_of(self)
+        crate::cache::box_of(self)
     }
 
     /// Syntactic check: is this the canonical bottom (or does it contain a
@@ -174,7 +174,7 @@ impl Conjunction {
         lyric_engine::tally(|s| s.sat_checks += 1);
         if lyric_engine::boxes_enabled() {
             lyric_engine::tally(|s| s.box_checks += 1);
-            if crate::boxcache::box_of(self).is_empty() {
+            if crate::cache::box_of(self).is_empty() {
                 lyric_engine::tally(|s| s.box_prunes += 1);
                 lyric_engine::trace_event(|| lyric_engine::EventKind::BoxPrune);
                 return false;

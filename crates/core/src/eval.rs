@@ -184,8 +184,8 @@ pub fn execute_with_options(
 /// Execute a `SELECT` statement against a *shared* database reference.
 /// This is the concurrency entry point: many threads may call it on the
 /// same `&Database` simultaneously, each evaluation getting its own
-/// engine context (so budgets and stats stay per-query) while sharing the
-/// process-global memo caches. `CREATE VIEW` statements are rejected.
+/// engine context (so budgets, stats and memo caches stay per-query).
+/// `CREATE VIEW` statements are rejected.
 pub fn execute_shared(
     db: &Database,
     src: &str,
@@ -1389,15 +1389,15 @@ fn collect_sat_shape<'q>(
     }
 }
 
-/// Pre-filter a FROM extent through the store index: intersect the
-/// candidate sets of every index-answerable WHERE conjunct (each merged
-/// with the novelty overlay of post-build writes) and keep only extent
-/// members inside the intersection. Counts one `index_probes` per probe
-/// answered and the dropped members as `index_pruned`.
-fn index_filter_extent(ctx: &Ctx<'_>, w: &Cond, f: &FromItem, extent: Vec<Oid>) -> Vec<Oid> {
-    if extent.is_empty() {
-        return extent;
-    }
+/// Bind a FROM item from the store index: intersect the candidate sets
+/// of every index-answerable WHERE conjunct (each merged with the
+/// novelty overlay of post-build writes) and keep the candidates that
+/// are members of the FROM class's extent. The candidate runs are
+/// sorted by oid, so the bindings come out in extent order. `None` when
+/// no probe answers: the caller scans the whole extent. Counts one
+/// `index_probes` per probe answered and the extent members left out as
+/// `index_pruned`.
+fn index_candidates(ctx: &Ctx<'_>, w: &Cond, f: &FromItem) -> Option<Vec<Oid>> {
     let conjuncts = top_conjuncts(w);
     let mut reqs: Vec<ProbeReq<'_>> = Vec::new();
     for c in &conjuncts {
@@ -1416,7 +1416,11 @@ fn index_filter_extent(ctx: &Ctx<'_>, w: &Cond, f: &FromItem, extent: Vec<Oid>) 
         }
     }
     if reqs.is_empty() {
-        return extent;
+        return None;
+    }
+    let total = ctx.db.extent_len(&f.class);
+    if total == 0 {
+        return None;
     }
     let idx = lyric_store::index_for(ctx.db);
     let novelty = ctx.db.oids_touched_since(idx.generation());
@@ -1438,14 +1442,9 @@ fn index_filter_extent(ctx: &Ctx<'_>, w: &Cond, f: &FromItem, extent: Vec<Oid>) 
             Some(prev) => lyric_store::intersect_sorted(&prev, &hit),
         });
     }
-    let Some(cand) = candidates else {
-        return extent;
-    };
-    let total = extent.len();
-    let kept: Vec<Oid> = extent
-        .into_iter()
-        .filter(|oid| cand.binary_search(oid).is_ok())
-        .collect();
+    let mut kept = candidates?;
+    // Novelty oids may belong to any class; index postings may be stale.
+    ctx.db.retain_in_extent(&f.class, &mut kept);
     let pruned = (total - kept.len()) as u64;
     lyric_engine::tally(|s| {
         s.index_probes += probes;
@@ -1455,7 +1454,7 @@ fn index_filter_extent(ctx: &Ctx<'_>, w: &Cond, f: &FromItem, extent: Vec<Oid>) 
         candidates: total as u64,
         pruned,
     });
-    kept
+    Some(kept)
 }
 
 // ----------------------------------------------------------------- select
@@ -1478,12 +1477,11 @@ fn eval_select(ctx: &Ctx<'_>, q: &SelectQuery) -> Result<(Vec<String>, SelectRow
             || format!("{} {}", f.class, f.var),
             f.class_span.join(f.var_span).byte_range(),
         );
-        let mut extent = ctx.db.extent(&f.class);
-        if lyric_engine::index_enabled() {
-            if let Some(w) = &q.where_clause {
-                extent = index_filter_extent(ctx, w, f, extent);
-            }
-        }
+        let probed = match &q.where_clause {
+            Some(w) if lyric_engine::index_enabled() => index_candidates(ctx, w, f),
+            _ => None,
+        };
+        let extent = probed.unwrap_or_else(|| ctx.db.extent(&f.class));
         let before = bindings.len() as u64;
         // Each prior binding expands independently; rows come back in
         // binding order, so the cross product is identical to the serial

@@ -224,10 +224,12 @@ struct ActiveContext {
     tracer: Option<trace::Collector>,
     /// How many deadline thresholds (50%, 90%) have been announced.
     time_thresholds_emitted: usize,
-    /// This context's cache generation (copied from [`GENERATION`] at
-    /// install time; worker contexts copy their parent's so all workers of
-    /// one query share memo entries).
+    /// This context's generation (copied from [`GENERATION`] at install
+    /// time; worker contexts copy their parent's).
     generation: u64,
+    /// The query's memo storage, shared with every worker context of its
+    /// parallel regions and dropped when [`run`] returns.
+    memo: Arc<QueryMemo>,
     /// Thread budget for parallel regions opened under this context; 1
     /// means strictly serial evaluation.
     threads: usize,
@@ -301,12 +303,18 @@ thread_local! {
     static CONTEXT: RefCell<Option<ActiveContext>> = const { RefCell::new(None) };
 }
 
-/// Bumped every time a context is installed; memo caches in dependent
-/// crates key their validity on this so entries never leak across
-/// queries with different budgets or databases. Process-global (not
-/// thread-local) so concurrent contexts on different threads get distinct
-/// generations while the workers of one parallel region share one.
+/// Bumped every time a context is installed; it identifies the query
+/// (trace ids, log lines). Process-global (not thread-local) so
+/// concurrent contexts on different threads get distinct generations
+/// while the workers of one parallel region share one.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
+
+/// Memo storage scoped to one query: created empty by [`run`], shared by
+/// the query's worker contexts, and dropped when `run` returns, so no
+/// entry outlives the query that computed it. The engine does not know
+/// the memo's type; a dependent crate stores its own (see
+/// [`with_query_memo`]).
+type QueryMemo = std::sync::OnceLock<Box<dyn std::any::Any + Send + Sync>>;
 
 /// Private unwind payload; `run_with` downcasts it at the boundary.
 struct BudgetUnwind(BudgetExceeded);
@@ -363,9 +371,27 @@ pub fn index_enabled() -> bool {
     CONTEXT.with(|c| c.borrow().as_ref().is_some_and(|a| a.index))
 }
 
-/// The current cache generation: the active context's generation, or the
-/// process-global counter outside any context. Memo caches must treat
-/// entries stored under a different generation as stale.
+/// Run `f` on the active query's memo of type `M`, created with
+/// `M::default()` on first use. `None` outside any context (standalone
+/// library use has no memo) or when the query's memo already holds a
+/// different type: one memo type per process is expected.
+///
+/// `f` runs while the thread's context is borrowed, so it must not call
+/// back into the engine (no [`note`], [`tally`] or [`span`]); keep it to
+/// map lookups and inserts.
+pub fn with_query_memo<M, R>(f: impl FnOnce(&M) -> R) -> Option<R>
+where
+    M: std::any::Any + Send + Sync + Default,
+{
+    CONTEXT.with(|c| {
+        let borrow = c.borrow();
+        let memo = borrow.as_ref()?.memo.get_or_init(|| Box::new(M::default()));
+        memo.downcast_ref::<M>().map(f)
+    })
+}
+
+/// The current generation: the active context's generation, or the
+/// process-global counter outside any context.
 pub fn generation() -> u64 {
     CONTEXT
         .with(|c| c.borrow().as_ref().map(|a| a.generation))
@@ -882,6 +908,7 @@ pub fn run<T>(
             tracer,
             time_thresholds_emitted: 0,
             generation,
+            memo: Arc::default(),
             threads,
             min_parallel,
             dnf_min_pairs,

@@ -79,6 +79,8 @@ struct RegionPlan {
     /// same reason.
     index: bool,
     generation: u64,
+    /// The query's memo storage: workers share their query's entries.
+    memo: Arc<crate::QueryMemo>,
     started: Instant,
     threads: usize,
     min_parallel: usize,
@@ -111,6 +113,7 @@ fn plan_region(items: usize) -> Option<RegionPlan> {
             boxes: active.boxes,
             index: active.index,
             generation: active.generation,
+            memo: active.memo.clone(),
             started: active.started,
             threads: active.threads,
             min_parallel: active.min_parallel,
@@ -175,6 +178,7 @@ impl<'a> WorkerContext<'a> {
                 // the crossing.
                 time_thresholds_emitted: BUDGET_THRESHOLDS.len(),
                 generation: plan.generation,
+                memo: plan.memo.clone(),
                 threads: 1,
                 min_parallel: plan.min_parallel,
                 dnf_min_pairs: plan.dnf_min_pairs,

@@ -36,8 +36,11 @@ impl ObjectData {
 /// A generation-stamped, type-erased cache slot for a derived index over
 /// the database (built and downcast by `lyric-store`). The slot lives on
 /// the [`Database`] so index reuse survives across queries against the
-/// same value, while any mutation — which bumps
-/// [`Database::data_generation`] — makes the cached entry unreachable.
+/// same value. The slot holds the latest build and the
+/// [`Database::data_generation`] it was built at; whether a build from an
+/// older generation is still good enough is the store's decision (it
+/// reads [`Database::writes_since`] and
+/// [`Database::schema_generation`]).
 ///
 /// Cloning a database gives the clone a *fresh, empty* slot: the two
 /// values mutate independently afterwards, so sharing a slot would make
@@ -53,13 +56,15 @@ impl IndexSlot {
         }
     }
 
-    /// The cached value, if one was stored for exactly this generation.
-    pub fn get(&self, generation: u64) -> Option<Arc<dyn Any + Send + Sync>> {
+    /// The cached value and the generation it was built at, if any.
+    pub fn get(&self) -> Option<(u64, Arc<dyn Any + Send + Sync>)> {
         let guard = self.slot.read().ok()?;
-        match &*guard {
-            Some((gen, value)) if *gen == generation => Some(Arc::clone(value)),
-            _ => None,
-        }
+        guard.as_ref().map(|(gen, value)| (*gen, Arc::clone(value)))
+    }
+
+    /// The generation the cached value was built at, if one is cached.
+    pub fn generation(&self) -> Option<u64> {
+        self.slot.read().ok()?.as_ref().map(|(gen, _)| *gen)
     }
 
     /// Store a value for `generation`, replacing any previous entry.
@@ -84,13 +89,8 @@ impl Default for IndexSlot {
 
 impl std::fmt::Debug for IndexSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let gen = self
-            .slot
-            .read()
-            .ok()
-            .and_then(|g| g.as_ref().map(|(gen, _)| *gen));
         f.debug_struct("IndexSlot")
-            .field("generation", &gen)
+            .field("generation", &self.generation())
             .finish()
     }
 }
@@ -106,15 +106,18 @@ pub struct Database {
     extents: BTreeMap<String, BTreeSet<Oid>>,
     /// Monotonic mutation counter: bumped by every successful write
     /// (insert, declare, attribute update, schema change). Derived
-    /// structures — the store index, memo caches — stamp themselves with
-    /// the generation they were built against and rebuild on mismatch.
+    /// structures — the store index — stamp themselves with the
+    /// generation they were built against.
     data_generation: u64,
+    /// The data generation of the last schema change (class added).
+    schema_generation: u64,
     /// The novelty log: oids touched by writes, tagged with the
-    /// generation of the write. Index probes merge
+    /// generation of the write and sorted by it. Index probes merge
     /// [`Database::oids_touched_since`] the index build generation into
     /// their candidate sets, so an index built at an older generation
     /// stays *sound* (never prunes a freshly written object) even before
-    /// it is rebuilt.
+    /// it is rebuilt. Only writes after the cached index's generation are
+    /// kept (see `touch`).
     touched: Vec<(u64, Oid)>,
     /// Cache slot for the store index (see [`IndexSlot`]).
     index_slot: IndexSlot,
@@ -129,6 +132,7 @@ impl Database {
             objects: BTreeMap::new(),
             extents: BTreeMap::new(),
             data_generation: 0,
+            schema_generation: 0,
             touched: Vec::new(),
             index_slot: IndexSlot::new(),
         })
@@ -144,19 +148,39 @@ impl Database {
         self.data_generation
     }
 
+    /// The data generation of the last schema change: an index built
+    /// before it may lack columns for the new classes.
+    pub fn schema_generation(&self) -> u64 {
+        self.schema_generation
+    }
+
+    /// The number of logged writes *after* `generation` (repeat writes to
+    /// one oid count each time). Complete for any `generation` at or
+    /// above the cached index's generation.
+    pub fn writes_since(&self, generation: u64) -> usize {
+        self.touched.len() - self.first_touched_after(generation)
+    }
+
     /// The sorted, duplicate-free run of oids touched by writes *after*
     /// `generation` — the novelty overlay an index built at `generation`
-    /// must merge into every probe result to stay sound.
+    /// must merge into every probe result to stay sound. Complete for any
+    /// `generation` at or above the cached index's generation, which is
+    /// every index [`IndexSlot`] users probe.
     pub fn oids_touched_since(&self, generation: u64) -> Vec<Oid> {
-        let mut out: Vec<Oid> = self
-            .touched
+        let start = self.first_touched_after(generation);
+        let mut out: Vec<Oid> = self.touched[start..]
             .iter()
-            .filter(|(gen, _)| *gen > generation)
             .map(|(_, oid)| oid.clone())
             .collect();
         out.sort();
         out.dedup();
         out
+    }
+
+    /// Position of the first log entry written after `generation` (the
+    /// log is sorted by generation).
+    fn first_touched_after(&self, generation: u64) -> usize {
+        self.touched.partition_point(|(gen, _)| *gen <= generation)
     }
 
     /// The generation-stamped cache slot for the store index.
@@ -165,11 +189,25 @@ impl Database {
     }
 
     /// Record a successful write: bump the generation and log the touched
-    /// oid (schema-only changes pass `None`; they still invalidate).
+    /// oid (schema-only changes pass `None` and move the schema
+    /// generation instead). The log only serves the cached index, so
+    /// entries at or below its generation are dropped, and with no index
+    /// cached nothing is logged: a later build starts at or after this
+    /// write and sees it.
     fn touch(&mut self, oid: Option<Oid>) {
         self.data_generation += 1;
-        if let Some(oid) = oid {
-            self.touched.push((self.data_generation, oid));
+        let Some(built) = self.index_slot.generation() else {
+            self.touched.clear();
+            if oid.is_none() {
+                self.schema_generation = self.data_generation;
+            }
+            return;
+        };
+        let stale = self.first_touched_after(built);
+        self.touched.drain(..stale);
+        match oid {
+            Some(oid) => self.touched.push((self.data_generation, oid)),
+            None => self.schema_generation = self.data_generation,
         }
     }
 
@@ -415,16 +453,42 @@ impl Database {
             .any(|c| self.declared_instance(oid, c))
     }
 
+    /// The non-empty direct extents of `class`'s IS-A cone: the class and
+    /// every subclass.
+    fn cone(&self, class: &str) -> Vec<&BTreeSet<Oid>> {
+        self.schema
+            .subclasses_of(class)
+            .into_iter()
+            .filter_map(|c| self.extents.get(c))
+            .filter(|e| !e.is_empty())
+            .collect()
+    }
+
     /// All instances of `class`, including subclass members, in oid order.
     /// Built-in literal classes have unenumerable extents and return empty.
     pub fn extent(&self, class: &str) -> Vec<Oid> {
-        let mut out = BTreeSet::new();
-        for c in self.schema.subclasses_of(class) {
-            if let Some(e) = self.extents.get(c) {
-                out.extend(e.iter().cloned());
-            }
+        match self.cone(class).as_slice() {
+            [] => Vec::new(),
+            [one] => one.iter().cloned().collect(),
+            many => merge_runs(many).cloned().collect(),
         }
-        out.into_iter().collect()
+    }
+
+    /// `self.extent(class).len()`, without copying an oid.
+    pub fn extent_len(&self, class: &str) -> usize {
+        match self.cone(class).as_slice() {
+            [] => 0,
+            [one] => one.len(),
+            many => merge_runs(many).count(),
+        }
+    }
+
+    /// Keep only the oids of `oids` that are members of `extent(class)`,
+    /// in their given order (declared membership in the class or a
+    /// subclass, the same test [`Database::extent`] enumerates).
+    pub fn retain_in_extent(&self, class: &str, oids: &mut Vec<Oid>) {
+        let cone = self.cone(class);
+        oids.retain(|oid| cone.iter().any(|e| e.contains(oid)));
     }
 
     /// Direct members of a class: oids inserted or declared into exactly
@@ -489,6 +553,18 @@ impl Database {
         }
         Ok(())
     }
+}
+
+/// The sorted, duplicate-free merge of sorted runs.
+fn merge_runs<'a>(runs: &[&'a BTreeSet<Oid>]) -> impl Iterator<Item = &'a Oid> {
+    let mut heads: Vec<_> = runs.iter().map(|r| r.iter().peekable()).collect();
+    std::iter::from_fn(move || {
+        let next = heads.iter_mut().filter_map(|h| h.peek().copied()).min()?;
+        for h in &mut heads {
+            h.next_if_eq(&next);
+        }
+        Some(next)
+    })
 }
 
 /// Literal-class membership: `Int ⊆ int ⊆ real`, `Rat ⊆ real`,

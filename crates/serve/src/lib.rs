@@ -17,9 +17,9 @@
 //! * `GET /debug/flight` — the flight recorder rings
 //!   (`lyric::flight::recorder`): recent completed-query summaries and
 //!   sampled trace events;
-//! * `GET /debug/caches` — occupancy and generation of the process-global
-//!   memo caches (sat, entailment, interval-box) plus the server
-//!   database's store-index state;
+//! * `GET /debug/caches` — the engine generation, occupancy of the
+//!   in-flight queries' memo caches (sat, entailment, interval-box) plus
+//!   the server database's store-index state;
 //! * `POST /query` — the request body is either a raw LyriC `SELECT`
 //!   statement or a JSON object `{"query": "...", "explain": bool}`,
 //!   evaluated against the server's shared [`Database`] by one
@@ -293,8 +293,9 @@ pub fn version_json() -> Json {
     ])
 }
 
-/// The `GET /debug/caches` body: occupancy of the process-global memo
-/// caches and the state of the server database's store index.
+/// The `GET /debug/caches` body: occupancy of the in-flight queries' memo
+/// caches and the state of the server database's store index (`built`:
+/// an index is cached; `novelty`: writes logged since its build).
 fn caches_json(db: &Database) -> Json {
     let occ = |o: lyric::constraint::CacheOccupancy| {
         Json::obj([
@@ -302,7 +303,7 @@ fn caches_json(db: &Database) -> Json {
             ("capacity", Json::int(o.capacity as u64)),
         ])
     };
-    let data_generation = db.data_generation();
+    let index_generation = db.index_slot().generation();
     Json::obj([
         ("generation", Json::int(lyric::engine::generation())),
         ("sat", occ(lyric::constraint::sat_occupancy())),
@@ -311,12 +312,17 @@ fn caches_json(db: &Database) -> Json {
         (
             "index",
             Json::obj([
-                ("data_generation", Json::int(data_generation)),
-                (
-                    "built",
-                    Json::Bool(db.index_slot().get(data_generation).is_some()),
-                ),
+                ("data_generation", Json::int(db.data_generation())),
+                ("built", Json::Bool(index_generation.is_some())),
                 ("objects", Json::int(db.num_objects() as u64)),
+                (
+                    "index_generation",
+                    index_generation.map_or(Json::Null, Json::int),
+                ),
+                (
+                    "novelty",
+                    Json::int(index_generation.map_or(0, |g| db.writes_since(g)) as u64),
+                ),
             ]),
         ),
     ])

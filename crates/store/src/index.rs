@@ -1,7 +1,8 @@
 //! The immutable, generation-stamped store index.
 //!
-//! Built once per database generation by [`index_for`] and cached on the
-//! database's [`IndexSlot`](lyric_oodb::IndexSlot). Two column families:
+//! Built by [`index_for`], cached on the database's
+//! [`IndexSlot`](lyric_oodb::IndexSlot) and reused across writes until
+//! they cross a rebuild threshold. Two column families:
 //!
 //! * [`ScalarColumn`] — per `(class, scalar attribute)`: a sorted run of
 //!   `(value, oid)` postings for numeric values (equality and range
@@ -247,6 +248,11 @@ fn build_scalar_column(db: &Database, extent: &[Oid], attr: &str) -> ScalarColum
     col
 }
 
+/// An interval's lower bound as a sort key: `None` (−∞) sorts first.
+fn lower_bound(iv: &Interval) -> Option<&Rational> {
+    iv.lo().map(|(bound, _)| bound)
+}
+
 fn build_box_column(db: &Database, extent: &[Oid], attr: &str, arity: usize) -> BoxColumn {
     let mut entries: Vec<(Oid, Vec<Interval>)> = Vec::new();
     for oid in extent {
@@ -266,6 +272,12 @@ fn build_box_column(db: &Database, extent: &[Oid], attr: &str, arity: usize) -> 
             entries.push((oid.clone(), ivs));
         }
     }
+    // Pack pages in spatial order, by the lower bound of coordinate 0
+    // (−∞ first; the stable sort keeps oid order among ties), so page
+    // hulls are narrow and a window probe skips most pages on one test.
+    if arity > 0 {
+        entries.sort_by(|(_, a), (_, b)| lower_bound(&a[0]).cmp(&lower_bound(&b[0])));
+    }
     let pages = entries
         .chunks(BOX_PAGE)
         .map(|chunk| {
@@ -284,18 +296,34 @@ fn build_box_column(db: &Database, extent: &[Oid], attr: &str, arity: usize) -> 
     BoxColumn { arity, pages }
 }
 
-/// The index for the database's *current* generation: answered from the
-/// database's cache slot when possible, otherwise built and cached.
+/// How many logged writes a cached index absorbs through the novelty
+/// overlay before [`index_for`] rebuilds it: a fixed share of the stored
+/// objects, with a floor so small databases do not rebuild on every few
+/// writes. It keeps the overlay small next to the extent: every probe
+/// merges it, and each of its oids is bound and re-checked by the query.
+fn reuse_limit(num_objects: usize) -> usize {
+    (num_objects / 16).max(64)
+}
+
+/// The index to probe for the database's current state: the cached one
+/// while it is still good enough, otherwise a fresh build, cached.
+///
+/// The cached index is reused while no schema change happened since it
+/// was built and at most `max(64, objects / 16)` writes were logged
+/// after it; those writes reach every probe through the novelty overlay
+/// ([`Database::oids_touched_since`]), so a reused index stays sound.
 pub fn index_for(db: &Database) -> Arc<StoreIndex> {
-    let generation = db.data_generation();
-    if let Some(cached) = db.index_slot().get(generation) {
-        if let Ok(idx) = cached.downcast::<StoreIndex>() {
-            return idx;
+    if let Some((built, cached)) = db.index_slot().get() {
+        let fresh_schema = built >= db.schema_generation();
+        if fresh_schema && db.writes_since(built) <= reuse_limit(db.num_objects()) {
+            if let Ok(idx) = cached.downcast::<StoreIndex>() {
+                return idx;
+            }
         }
     }
     let idx = Arc::new(StoreIndex::build(db));
     db.index_slot().set(
-        generation,
+        idx.generation(),
         idx.clone() as Arc<dyn std::any::Any + Send + Sync>,
     );
     idx
@@ -434,21 +462,62 @@ mod tests {
     }
 
     #[test]
-    fn index_is_cached_per_generation() {
+    fn box_pages_are_packed_by_coordinate_zero() {
+        // 200 items over 4 pages; oid order (item_0, item_1, item_10, …)
+        // is not spatial order, the packing is.
+        let db = test_db(200);
+        let idx = StoreIndex::build(&db);
+        let col = &idx.boxes[&("Item".to_string(), "region".to_string())];
+        assert_eq!(col.num_pages(), 4);
+        for pair in col.pages.windows(2) {
+            let (a, b) = (&pair[0].hull[0], &pair[1].hull[0]);
+            assert!(
+                lower_bound(a) <= lower_bound(b),
+                "hull lower bounds decrease"
+            );
+            assert!(a.intersect(b).is_empty(), "consecutive hulls overlap");
+        }
+    }
+
+    #[test]
+    fn index_reuse_policy() {
+        let weight = |k: i64| Value::Scalar(Oid::Int(k));
         let mut db = test_db(3);
         let a = index_for(&db);
-        let b = index_for(&db);
-        assert!(Arc::ptr_eq(&a, &b));
-        db.insert(Oid::named("item_99"), "Item", [] as [(&str, Value); 0])
+        assert!(Arc::ptr_eq(&a, &index_for(&db)));
+        // Reuse up to the threshold: the writes reach probes through the
+        // novelty overlay instead.
+        let limit = reuse_limit(db.num_objects());
+        for k in 0..limit as i64 {
+            db.set_attr(&Oid::named("item_0"), "weight", weight(k))
+                .unwrap();
+        }
+        assert!(Arc::ptr_eq(&a, &index_for(&db)), "reused at the threshold");
+        assert_eq!(db.writes_since(a.generation()), limit);
+        assert_eq!(
+            db.oids_touched_since(a.generation()),
+            vec![Oid::named("item_0")]
+        );
+        // Rebuild past it; the next write trims the log to the new build.
+        db.set_attr(&Oid::named("item_1"), "weight", weight(0))
             .unwrap();
+        let b = index_for(&db);
+        assert!(!Arc::ptr_eq(&a, &b), "rebuilt past the threshold");
+        assert_eq!(b.generation(), db.data_generation());
+        db.set_attr(&Oid::named("item_2"), "weight", weight(0))
+            .unwrap();
+        assert_eq!(db.writes_since(0), 1, "log holds only post-build writes");
+        // Rebuild on a schema change, however few writes.
+        db.add_class(ClassDef::new("Extra")).unwrap();
         let c = index_for(&db);
-        assert!(!Arc::ptr_eq(&a, &c));
+        assert!(!Arc::ptr_eq(&b, &c), "rebuilt after a schema change");
         assert_eq!(c.generation(), db.data_generation());
-        // The clone starts with a fresh slot but the same data.
+        // A clone starts with a fresh slot but the same data.
         let clone = db.clone();
         let d = index_for(&clone);
-        assert!(!Arc::ptr_eq(&c, &d));
+        assert!(!Arc::ptr_eq(&c, &d), "a clone builds its own index");
         assert_eq!(d.generation(), c.generation());
+        assert!(Arc::ptr_eq(&c, &index_for(&db)));
     }
 
     #[test]

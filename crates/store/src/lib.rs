@@ -9,12 +9,15 @@
 //!   index over CST attributes (each object's `IntervalBox`, packed into
 //!   hulled pages — a two-level packed R-tree) so FROM bindings can be
 //!   pruned by box intersection *before* any formula is instantiated.
-//!   The index is immutable and generation-stamped: it is built once per
-//!   [`Database::data_generation`](lyric_oodb::Database::data_generation) and cached on the database's
+//!   The index is immutable and stamped with the
+//!   [`Database::data_generation`](lyric_oodb::Database::data_generation)
+//!   it was built at, and cached on the database's
 //!   [`IndexSlot`](lyric_oodb::IndexSlot). Writes after a build surface
 //!   through the **novelty overlay** — a sorted run of touched oids that
 //!   [`merge_with_novelty`] folds into every probe result, so a stale
-//!   index stays sound (it may under-prune, never over-prune).
+//!   index stays sound (it may under-prune, never over-prune) and is
+//!   reused until the writes cross a rebuild threshold or the schema
+//!   changes.
 //!
 //! * **The snapshot container** ([`snapshot`]): a versioned, hand-rolled
 //!   binary on-disk format — magic + version header followed by

@@ -11,9 +11,15 @@
 //! `lp_runs` never increase), and the semantic counters are
 //! thread-count-invariant within each configuration.
 //!
+//! The cached index is reused across writes until they cross the store's
+//! rebuild threshold, so a write-interleaved sequence checks the same
+//! bundle after every write: a stale index plus its novelty overlay must
+//! answer exactly like a scan and like a freshly built index.
+//!
 //! The memo cache stays off throughout so the two runs of each pair do
 //! identical logical work and the monotonicity claims are exact.
 
+use lyric::oodb::{ClassDef, Database, Oid, Value};
 use lyric::{execute_shared, paper_example, ExecOptions};
 use lyric_bench::workload::{self, Q_LINEAR};
 use proptest::prelude::*;
@@ -188,6 +194,123 @@ fn shared_create_view_is_rejected_with_index_on() {
         generation,
         "a rejected statement must not advance the data generation"
     );
+}
+
+/// Writes interleaved with probes. Every write kind reaches the index
+/// layer: `set_attr` on the scalar `weight` and the CST `region`,
+/// inserts into a subclass, `declare_instance` of an existing item into
+/// that subclass (one oid in two direct extents of one IS-A cone), and
+/// `add_class`. More writes are logged than the rebuild threshold allows,
+/// so the sequence runs on a reused stale index, rebuilds past the
+/// threshold, and rebuilds again on the schema change. After every write
+/// each probe must answer with the index on exactly as with it off, and
+/// the stale index may under-prune a freshly built one (a clone's) but
+/// never over-prune it.
+#[test]
+fn write_interleaved_answers_are_index_invariant() {
+    let n = 100i64;
+    let (key, window) = (7i64, 40i64);
+    let mut db = workload::scaling_db(n as usize, 11);
+    db.add_class(ClassDef::new("Heavy").is_a("Item")).unwrap();
+    let queries = [
+        workload::q_weight_eq(key),
+        workload::q_weight_ge(n - 5),
+        workload::q_region_window(window),
+        format!("SELECT X FROM Heavy X WHERE X.weight = {key}"),
+        format!(
+            "SELECT X FROM Item X WHERE X.weight = {key} AND X.region[E] \
+             AND (E(a,b) AND a >= {window} AND a <= {} AND b >= 0)",
+            window + 10
+        ),
+    ];
+    let item = |i: i64| Oid::named(format!("item_{}", i.rem_euclid(n)));
+    let region = |x: i64| Value::Scalar(Oid::cst(paper_example::box2("u", "v", x, x + 10, 0, 10)));
+    let mut built = Vec::new();
+    let (mut stale_rounds, mut probes) = (0, 0);
+    for i in 0..100i64 {
+        match i % 5 {
+            _ if i == 90 => db.add_class(ClassDef::new("Extra")).unwrap(),
+            0 => db
+                .set_attr(&item(i * 7), "weight", Value::Scalar(Oid::Int(key)))
+                .unwrap(),
+            1 => db
+                .set_attr(&item(i * 3), "region", region(window + i % 10))
+                .unwrap(),
+            2 => db
+                .insert(
+                    Oid::named(format!("heavy_{i}")),
+                    "Heavy",
+                    [
+                        (
+                            "weight",
+                            Value::Scalar(Oid::Int(if i % 2 == 0 { key } else { n + i })),
+                        ),
+                        ("region", region(window - 5 + i % 20)),
+                    ],
+                )
+                .unwrap(),
+            3 => db.declare_instance("Heavy", item(i * 11)).unwrap(),
+            _ => db
+                .set_attr(&item(key), "weight", Value::Scalar(Oid::Int(n + i)))
+                .unwrap(),
+        }
+        for q in &queries {
+            probes += assert_stale_index_sound(&db, q, &format!("after write {i}: {q}"));
+        }
+        let generation = db.index_slot().generation().expect("an index probe ran");
+        stale_rounds += usize::from(generation < db.data_generation());
+        if built.last() != Some(&generation) {
+            built.push(generation);
+        }
+    }
+    assert!(
+        stale_rounds > 50,
+        "the stale index was rarely reused: {stale_rounds}"
+    );
+    assert!(probes > 400, "probes rarely fired: {probes}");
+    assert!(
+        built.len() >= 3,
+        "expected a first build, a threshold rebuild and a schema rebuild: {built:?}"
+    );
+}
+
+/// One query on a database whose cached index may be stale: index on
+/// equals index off (answers or error), and equals a clone's freshly
+/// built index with no more pruning than it.
+/// Returns the index-on run's probe count.
+fn assert_stale_index_sound(db: &Database, q: &str, label: &str) -> u64 {
+    let on = execute_shared(db, q, &opts(1, true, true));
+    let off = execute_shared(db, q, &opts(1, true, false));
+    let fresh = execute_shared(&db.clone(), q, &opts(1, true, true));
+    match (&on, &off, &fresh) {
+        (Ok(on), Ok(off), Ok(fresh)) => {
+            assert_same_answer(on, off, label);
+            assert_same_answer(on, fresh, label);
+            assert_eq!(
+                off.stats.index_probes + off.stats.index_pruned,
+                0,
+                "{label}"
+            );
+            // A stale index may lack a column for a class that was empty
+            // at its build; that probe then falls back to the scan.
+            assert!(on.stats.index_probes <= fresh.stats.index_probes, "{label}");
+            assert!(
+                on.stats.index_pruned <= fresh.stats.index_pruned,
+                "{label}: the stale index pruned more than a fresh one ({} > {})",
+                on.stats.index_pruned,
+                fresh.stats.index_pruned
+            );
+            assert!(on.stats.sat_checks <= off.stats.sat_checks, "{label}");
+            assert!(on.stats.lp_runs <= off.stats.lp_runs, "{label}");
+            on.stats.index_probes
+        }
+        (Err(a), Err(b), Err(c)) => {
+            assert_eq!(a.to_string(), b.to_string(), "{label}");
+            assert_eq!(a.to_string(), c.to_string(), "{label}");
+            0
+        }
+        _ => panic!("{label}: outcomes differ: on={on:?} off={off:?} fresh={fresh:?}"),
+    }
 }
 
 proptest! {
