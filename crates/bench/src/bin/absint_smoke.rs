@@ -132,11 +132,12 @@ fn main() {
     println!("paper queries: {cells} constraint cells box-vs-LP sound");
 
     // (c) Pruning fires: a query whose window is disjoint from every
-    // stored extent must record box prunes and return no rows.
+    // stored extent must record box prunes and return no rows. The store
+    // index is off: it would prune every binding before any box check.
     let mut db = paper_example::database();
     let q = "SELECT D FROM Desk D WHERE D.extent[E] AND (E(w,z) AND w >= 1000 AND z >= 1000)";
-    let result = execute_with_options(&mut db, q, &ExecOptions::default().with_boxes(true))
-        .expect("disjoint query evaluates");
+    let opts = ExecOptions::default().with_boxes(true).with_index(false);
+    let result = execute_with_options(&mut db, q, &opts).expect("disjoint query evaluates");
     if !result.rows.is_empty() {
         eprintln!("MISMATCH: disjoint query returned rows");
         failures += 1;

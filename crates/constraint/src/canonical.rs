@@ -190,26 +190,34 @@ impl CstObject {
         }
     }
 
-    /// A name-independent canonical copy for **object identity**: schema
-    /// variables are renamed positionally to `$0, $1, …` and the surviving
-    /// bound variables of each disjunct to `?0, ?1, …` in order of first
-    /// occurrence. Two structurally identical constraints over different
-    /// variable names get equal canonical forms (§4.1: "CST expressions in
-    /// LyriC queries are invariant to variable names"). Canonical forms are
-    /// still not unique across *semantically* equal objects — use
+    /// A name-independent canonical copy for **object identity**: the
+    /// [`canonicalize`](Self::canonicalize)d object under
+    /// [`positional_rename`](Self::positional_rename). Two structurally
+    /// identical constraints over different variable names get equal
+    /// canonical forms (§4.1: "CST expressions in LyriC queries are
+    /// invariant to variable names"). Canonical forms are still not unique
+    /// across *semantically* equal objects — use
     /// [`CstObject::denotes_same`] for that.
     pub fn canonical_form(&self) -> CstObject {
-        let canon = self.canonicalize();
-        let free_map: BTreeMap<Var, Var> = canon
+        self.canonicalize().positional_rename()
+    }
+
+    /// Rename variables by position alone: schema variables become
+    /// `$0, $1, …` and the bound variables of each disjunct `?0, ?1, …` in
+    /// order of first occurrence. No simplification runs, so applied to a
+    /// canonicalized object this is the identity-carrying half of
+    /// [`canonical_form`](Self::canonical_form).
+    pub fn positional_rename(&self) -> CstObject {
+        let free_map: BTreeMap<Var, Var> = self
             .free()
             .iter()
             .enumerate()
             .map(|(i, v)| (v.clone(), Var::new(format!("${i}"))))
             .collect();
-        let new_free: Vec<Var> = (0..canon.free().len())
+        let new_free: Vec<Var> = (0..self.free().len())
             .map(|i| Var::new(format!("${i}")))
             .collect();
-        let ds: Vec<Conjunction> = canon
+        let ds: Vec<Conjunction> = self
             .disjuncts()
             .iter()
             .map(|d| {

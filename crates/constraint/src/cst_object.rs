@@ -252,17 +252,23 @@ impl CstObject {
 
     /// Existentially quantified variables of a disjunct.
     pub fn bound_vars(&self, d: &Conjunction) -> BTreeSet<Var> {
-        d.vars()
-            .into_iter()
+        self.vars_outside_schema(d).cloned().collect()
+    }
+
+    /// The variables of `d`'s terms that are not in the schema, with
+    /// repeats.
+    fn vars_outside_schema<'a>(&'a self, d: &'a Conjunction) -> impl Iterator<Item = &'a Var> {
+        d.atoms()
+            .iter()
+            .flat_map(|a| a.expr().terms().map(|(v, _)| v))
             .filter(|v| !self.free.contains(v))
-            .collect()
     }
 
     /// Does any disjunct carry existential quantifiers?
     pub fn has_bound_vars(&self) -> bool {
         self.disjuncts
             .iter()
-            .any(|d| !self.bound_vars(d).is_empty())
+            .any(|d| self.vars_outside_schema(d).next().is_some())
     }
 
     /// Smallest §3.1 family containing this object.

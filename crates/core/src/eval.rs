@@ -26,8 +26,10 @@ use lyric_engine::{span, ExecOptions, SpanKind};
 use lyric_oodb::{AttrDef, AttrTarget, ClassDef, Database, Oid, Value};
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -1062,15 +1064,27 @@ fn eval_cond_inner(
     }
 }
 
+/// Drop repeated bindings, keeping the first of each in input order.
+/// Bindings are grouped by a hash of their non-constraint values and
+/// ordered within a group, so constraint oids — whose comparison builds
+/// their identity forms — are compared only between bindings that agree
+/// on everything else.
 fn dedup_bindings(bindings: Vec<Binding>) -> Vec<Binding> {
-    let mut seen: BTreeSet<BTreeMap<String, Oid>> = BTreeSet::new();
-    let mut out = Vec::new();
-    for b in bindings {
-        if seen.insert(b.key().clone()) {
-            out.push(b);
-        }
-    }
-    out
+    let mut seen: HashMap<u64, BTreeSet<BTreeMap<String, Oid>>> = HashMap::new();
+    bindings
+        .into_iter()
+        .filter(|b| {
+            let mut h = DefaultHasher::new();
+            for (name, value) in b.key() {
+                name.hash(&mut h);
+                match value {
+                    Oid::Cst(_) => h.write_u8(0),
+                    other => other.hash(&mut h),
+                }
+            }
+            seen.entry(h.finish()).or_default().insert(b.key().clone())
+        })
+        .collect()
 }
 
 /// The value set of a comparison operand. Numeric oids are normalized to

@@ -1,66 +1,38 @@
 //! Binary snapshot persistence for constraint-object databases.
 //!
-//! A snapshot is a [`lyric_store::snapshot`] container with two sections:
+//! A snapshot is a [`lyric_store::snapshot`] container (version 2) whose
+//! sections hold the database in binary form — object count, variable
+//! table, schema, oid table, attribute values with constraint objects as
+//! atom arrays, and the store index (see [`lyric_store::encode_database`]
+//! for the section table). Loading is proportional to the snapshot's
+//! size: nothing is lexed or parsed, each stored constraint is
+//! canonicalized once, and the persisted index is validated and installed
+//! so the first query does not rebuild it.
 //!
-//! * `META` — a small `key=value` text block; today one line,
-//!   `objects=<count>`, cross-checked against the reloaded database so a
-//!   payload that decodes but drops objects is still rejected;
-//! * `DBTX` — the full textual dump of [`crate::storage::save`].
-//!
-//! The textual dump iterates `BTreeMap`-ordered schema and extents, so
-//! save → load → save is byte-identical. Every structural failure —
-//! truncation, bad magic, version skew, checksum mismatch, section
-//! layout, undecodable payload, object-count drift — surfaces as
+//! The encoding depends only on the database's content, so save → load →
+//! save is byte-identical. Every structural failure — truncation, bad
+//! magic, version skew, checksum mismatch, section layout, undecodable or
+//! invalid payload, object-count drift — surfaces as
 //! [`LyricError::SnapshotCorrupt`] and never as a partial [`Database`].
+//! The textual dump of [`crate::storage`] is the interchange format; a
+//! text file becomes a snapshot with `lyric-serve --db FILE --save-db
+//! SNAP`.
 
 use crate::error::LyricError;
-use crate::storage;
 use lyric_oodb::Database;
 use lyric_store::snapshot::{read_container, write_container};
+use lyric_store::{decode_database, encode_database};
 use std::path::Path;
 
-/// Serialize a database to snapshot container bytes.
+/// Serialize a database, with a fresh store index, to snapshot bytes.
 pub fn to_bytes(db: &Database) -> Result<Vec<u8>, LyricError> {
-    let text = storage::save(db)?;
-    let meta = format!("objects={}\n", db.objects().count());
-    Ok(write_container(&[
-        (*b"META", meta.into_bytes()),
-        (*b"DBTX", text.into_bytes()),
-    ]))
+    Ok(write_container(&encode_database(db)))
 }
 
-/// Decode and fully verify snapshot container bytes into a database.
+/// Decode and fully verify snapshot bytes into a database whose store
+/// index is already installed.
 pub fn from_bytes(bytes: &[u8]) -> Result<Database, LyricError> {
-    let sections = read_container(bytes)?;
-    let [(meta_tag, meta), (db_tag, dbtx)] = sections.as_slice() else {
-        return Err(LyricError::SnapshotCorrupt(format!(
-            "expected 2 sections (META, DBTX), found {}",
-            sections.len()
-        )));
-    };
-    if meta_tag != b"META" || db_tag != b"DBTX" {
-        return Err(LyricError::SnapshotCorrupt(
-            "expected section order META, DBTX".into(),
-        ));
-    }
-    let meta = std::str::from_utf8(meta)
-        .map_err(|_| LyricError::SnapshotCorrupt("META section is not UTF-8".into()))?;
-    let declared: usize = meta
-        .lines()
-        .find_map(|l| l.strip_prefix("objects="))
-        .and_then(|n| n.trim().parse().ok())
-        .ok_or_else(|| LyricError::SnapshotCorrupt("META section lacks objects=<n>".into()))?;
-    let text = std::str::from_utf8(dbtx)
-        .map_err(|_| LyricError::SnapshotCorrupt("DBTX section is not UTF-8".into()))?;
-    let db = storage::load(text)
-        .map_err(|e| LyricError::SnapshotCorrupt(format!("DBTX section: {e}")))?;
-    let loaded = db.objects().count();
-    if loaded != declared {
-        return Err(LyricError::SnapshotCorrupt(format!(
-            "META declares {declared} objects, DBTX holds {loaded}"
-        )));
-    }
-    Ok(db)
+    Ok(decode_database(&read_container(bytes)?)?)
 }
 
 /// `Database::{save_snapshot, load_snapshot}` — file-level snapshot
@@ -116,31 +88,14 @@ mod tests {
     }
 
     #[test]
-    fn meta_object_count_drift_is_corrupt() {
+    fn loaded_index_equals_a_rebuild() {
         let db = paper_example::database();
-        let text = crate::storage::save(&db).unwrap();
-        let bytes = lyric_store::snapshot::write_container(&[
-            (*b"META", b"objects=1\n".to_vec()),
-            (*b"DBTX", text.into_bytes()),
-        ]);
-        let err = from_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, LyricError::SnapshotCorrupt(_)), "{err}");
-    }
-
-    #[test]
-    fn wrong_section_layouts_are_corrupt() {
-        let one = lyric_store::snapshot::write_container(&[(*b"META", b"objects=0\n".to_vec())]);
-        assert!(matches!(
-            from_bytes(&one).unwrap_err(),
-            LyricError::SnapshotCorrupt(_)
-        ));
-        let swapped = lyric_store::snapshot::write_container(&[
-            (*b"DBTX", b"LYRIC-DB 1\n".to_vec()),
-            (*b"META", b"objects=0\n".to_vec()),
-        ]);
-        assert!(matches!(
-            from_bytes(&swapped).unwrap_err(),
-            LyricError::SnapshotCorrupt(_)
-        ));
+        let reloaded = from_bytes(&to_bytes(&db).expect("serializes")).expect("verifies");
+        let installed = lyric_store::index_for(&reloaded);
+        assert_eq!(
+            reloaded.index_slot().generation(),
+            Some(reloaded.data_generation())
+        );
+        assert_eq!(*installed, lyric_store::StoreIndex::build(&reloaded));
     }
 }

@@ -1,11 +1,18 @@
-//! Textual persistence for constraint-object databases.
+//! Textual persistence for constraint-object databases: the interchange
+//! format.
 //!
 //! [`save`] renders a [`Database`] — schema, extents and objects,
 //! including every constraint object — as a line-oriented text format;
 //! [`load`] reads it back. Constraint values are serialized as LyriC
-//! projection formulas (`cst:((u,v) | u >= 0 AND ...)`) and re-parsed
-//! with the ordinary LyriC formula parser, so the dump is human-readable
-//! and hand-editable.
+//! projection formulas (`cst:((u,v) | u >= 0 AND 2*v <= 5 ...)`) and
+//! re-parsed with the ordinary LyriC formula parser, so the dump is
+//! human-readable and hand-editable.
+//!
+//! Loading text lexes, parses and canonicalizes every constraint, so it
+//! is not the start-up path: programs start from a binary snapshot
+//! ([`crate::snapshot`]), which loads in proportion to its size and
+//! brings the store index with it. A text dump becomes a snapshot once,
+//! with `lyric-serve --db DUMP --save-db SNAP`.
 //!
 //! Format sketch:
 //!
@@ -30,7 +37,8 @@
 use crate::ast::Formula;
 use crate::error::LyricError;
 use crate::parser::parse_formula;
-use lyric_constraint::{Atom, Conjunction, CstObject, Var};
+use lyric_arith::Rational;
+use lyric_constraint::{Atom, Conjunction, CstObject, NormOp, Var};
 use lyric_oodb::{AttrDef, AttrTarget, ClassDef, Database, Oid, Schema, Value};
 use std::fmt::Write as _;
 
@@ -311,9 +319,35 @@ fn write_cst(c: &CstObject) -> String {
     out
 }
 
+/// Render an atom as LyriC the parser reads back. It follows the atom's
+/// `Display` (an inequality whose coefficients are all negative is
+/// flipped, `-w <= 4` reads `w >= -4`) but spells products out: `Display`
+/// juxtaposes them (`x + 2y`), which the parser does not accept.
 fn write_atom(a: &Atom) -> String {
-    // Atom's Display is already parseable LyriC (`x + 2y <= 5`).
-    a.to_string()
+    let all_negative = a.expr().terms().all(|(_, k)| k.is_negative());
+    let (expr, op) = match a.op() {
+        NormOp::Le if all_negative => (-a.expr(), ">=".to_string()),
+        NormOp::Lt if all_negative => (-a.expr(), ">".to_string()),
+        op => (a.expr().clone(), op.to_string()),
+    };
+    let mut out = String::new();
+    for (i, (v, k)) in expr.terms().enumerate() {
+        out.push_str(match (i, k.is_negative()) {
+            (0, true) => "-",
+            (0, false) => "",
+            (_, true) => " - ",
+            (_, false) => " + ",
+        });
+        if k.abs() != Rational::one() {
+            write!(out, "{}*", k.abs()).expect("string write");
+        }
+        out.push_str(v.name());
+    }
+    if out.is_empty() {
+        out.push('0');
+    }
+    write!(out, " {op} {}", -expr.constant_term()).expect("string write");
+    out
 }
 
 fn parse_oid(text: &str) -> Result<Oid, LyricError> {
@@ -542,6 +576,24 @@ mod tests {
         let text = write_oid(&oid).expect("serializes");
         let back = parse_oid(&text).expect("parses");
         assert_eq!(back, oid);
+    }
+
+    #[test]
+    fn non_unit_coefficients_roundtrip() {
+        use lyric_constraint::LinExpr;
+        let t = |name: &str, k: i64| LinExpr::term(Var::new(name), Rational::from_int(k));
+        let obj = CstObject::from_conjunction(
+            vec![Var::new("m0"), Var::new("m1")],
+            Conjunction::of([
+                Atom::eq(t("m0", 1), t("m1", 5)),
+                Atom::le(t("m0", -2) + t("m1", 3), LinExpr::from(1)),
+                Atom::lt(t("m0", -2) + t("m1", -3), LinExpr::from(-1)),
+            ]),
+        );
+        let oid = Oid::cst(obj);
+        let text = write_oid(&oid).expect("serializes");
+        assert!(text.contains("5*m1"), "{text}");
+        assert_eq!(parse_oid(&text).expect("parses"), oid);
     }
 
     #[test]

@@ -220,18 +220,18 @@ impl Database {
         class: &str,
         attrs: impl IntoIterator<Item = (impl Into<String>, Value)>,
     ) -> Result<(), DbError> {
-        let class_def = self
+        let cst_dim = self
             .schema
             .class(class)
             .ok_or_else(|| DbError::UnknownClass(class.to_string()))?
-            .clone();
+            .cst_dim;
         if self.objects.contains_key(&oid) {
             return Err(DbError::DuplicateObject(oid.to_string()));
         }
         // CST classes: instances must be constraint oids of the declared
         // dimension (§3.2: CST objects are organized into classes by
         // dimension).
-        if let Some(dim) = class_def.cst_dim {
+        if let Some(dim) = cst_dim {
             match oid.as_cst() {
                 Some(c) if c.arity() == dim => {}
                 Some(c) => {
@@ -248,16 +248,15 @@ impl Database {
                 }
             }
         }
-        let visible = self.schema.attributes_of(class);
         let mut stored = BTreeMap::new();
         for (name, value) in attrs {
             let name = name.into();
-            let decl = visible
-                .get(&name)
-                .ok_or_else(|| DbError::UnknownAttribute {
+            let decl = self.schema.visible_attribute(class, &name).ok_or_else(|| {
+                DbError::UnknownAttribute {
                     class: class.to_string(),
                     attr: name.clone(),
-                })?;
+                }
+            })?;
             if decl.is_set != value.is_set() {
                 return Err(DbError::Cardinality {
                     class: class.to_string(),
@@ -367,9 +366,8 @@ impl Database {
     /// of the declared class. Run after bulk loading.
     pub fn validate_references(&self) -> Result<(), DbError> {
         for data in self.objects.values() {
-            let visible = self.schema.attributes_of(&data.class);
             for (name, value) in &data.attrs {
-                let Some(decl) = visible.get(name) else {
+                let Some(decl) = self.schema.visible_attribute(&data.class, name) else {
                     continue;
                 };
                 if let AttrTarget::Class { class: target, .. } = &decl.target {
@@ -409,10 +407,11 @@ impl Database {
             .ok_or_else(|| DbError::UnknownObject(oid.to_string()))?
             .class
             .clone();
-        let visible = self.schema.attributes_of(&class);
-        let decl = visible.get(attr).ok_or_else(|| DbError::UnknownAttribute {
-            class: class.clone(),
-            attr: attr.to_string(),
+        let decl = self.schema.visible_attribute(&class, attr).ok_or_else(|| {
+            DbError::UnknownAttribute {
+                class: class.clone(),
+                attr: attr.to_string(),
+            }
         })?;
         if decl.is_set != value.is_set() {
             return Err(DbError::Cardinality {

@@ -5,50 +5,61 @@ use lyric_constraint::CstObject;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A constraint-object oid.
 ///
 /// Per §3.1, the logical oid of a CST object *is* its canonical form: two
 /// `CstOid`s compare equal iff their canonical forms (paper-cheap
 /// canonicalization plus positional variable renaming) coincide. The
-/// original, human-named object is retained for display, so query answers
-/// print like the paper's `((u,v) | 2 <= u <= 10 ∧ 2 <= v <= 6)`.
+/// canonicalized, human-named object is retained for display, so query
+/// answers print like the paper's `((u,v) | 2 <= u <= 10 ∧ 2 <= v <= 6)`.
+///
+/// Construction canonicalizes once. The positional rename that turns the
+/// canonicalized object into its identity form runs on first use — the
+/// first `Eq`, `Ord` or `Hash` against another oid, or
+/// [`canonical`](Self::canonical) — and is shared by every clone, so an
+/// oid that is only stored and displayed never pays for it.
 ///
 /// Canonical forms are not unique across semantically equal objects
 /// (acknowledged in §3.1); use [`CstObject::denotes_same`] when point-set
 /// equality is needed.
 #[derive(Clone)]
-pub struct CstOid {
-    display: Arc<CstObject>,
-    canonical: Arc<CstObject>,
+pub struct CstOid(Arc<CstForms>);
+
+/// The two forms behind a [`CstOid`]: the display object, and its
+/// identity form once computed.
+struct CstForms {
+    display: CstObject,
+    canonical: OnceLock<CstObject>,
 }
 
 impl CstOid {
     /// Canonicalize and wrap a constraint object.
     pub fn new(obj: CstObject) -> CstOid {
-        let display = obj.canonicalize();
-        let canonical = display.canonical_form();
-        CstOid {
-            display: Arc::new(display),
-            canonical: Arc::new(canonical),
-        }
+        CstOid(Arc::new(CstForms {
+            display: obj.canonicalize(),
+            canonical: OnceLock::new(),
+        }))
     }
 
     /// The canonicalized object with its original variable names.
     pub fn object(&self) -> &CstObject {
-        &self.display
+        &self.0.display
     }
 
-    /// The name-independent canonical form (the identity carrier).
+    /// The name-independent canonical form (the identity carrier), built
+    /// on first use.
     pub fn canonical(&self) -> &CstObject {
-        &self.canonical
+        self.0
+            .canonical
+            .get_or_init(|| self.0.display.positional_rename())
     }
 }
 
 impl PartialEq for CstOid {
     fn eq(&self, other: &Self) -> bool {
-        self.canonical == other.canonical
+        Arc::ptr_eq(&self.0, &other.0) || self.canonical() == other.canonical()
     }
 }
 impl Eq for CstOid {}
@@ -60,24 +71,27 @@ impl PartialOrd for CstOid {
 }
 impl Ord for CstOid {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.canonical.cmp(&other.canonical)
+        if Arc::ptr_eq(&self.0, &other.0) {
+            return Ordering::Equal;
+        }
+        self.canonical().cmp(other.canonical())
     }
 }
 impl Hash for CstOid {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.canonical.hash(state)
+        self.canonical().hash(state)
     }
 }
 
 impl fmt::Debug for CstOid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CstOid({})", self.display)
+        write!(f, "CstOid({})", self.object())
     }
 }
 
 impl fmt::Display for CstOid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.display)
+        write!(f, "{}", self.object())
     }
 }
 

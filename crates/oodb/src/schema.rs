@@ -254,6 +254,19 @@ impl Schema {
         out
     }
 
+    /// `attributes_of(class).get(name)` without building the map: the
+    /// class's own declaration, else the one visible from the *last*
+    /// parent that sees `name` (later parents shadow earlier ones there).
+    pub fn visible_attribute(&self, class: &str, name: &str) -> Option<&AttrDef> {
+        let def = self.classes.get(class)?;
+        def.attributes.get(name).or_else(|| {
+            def.parents
+                .iter()
+                .rev()
+                .find_map(|p| self.visible_attribute(p, name))
+        })
+    }
+
     /// All attributes visible from `class` (own shadowing inherited).
     pub fn attributes_of(&self, class: &str) -> BTreeMap<String, &AttrDef> {
         let mut out = BTreeMap::new();
@@ -433,6 +446,31 @@ mod tests {
         assert!(all.contains_key("extent"));
         assert!(all.contains_key("drawer_center"));
         assert_eq!(all["color"].target, AttrTarget::class("string"));
+        // Two parents declaring one name: the last parent wins in
+        // `attributes_of`, and `visible_attribute` finds that entry for
+        // every class and name without building the map.
+        s.add_class(ClassDef::new("Tinted").attr(AttrDef::scalar("color", AttrTarget::cst(["h"]))))
+            .unwrap();
+        s.add_class(
+            ClassDef::new("Tinted_Desk")
+                .is_a("Painted_Desk")
+                .is_a("Tinted"),
+        )
+        .unwrap();
+        assert_eq!(
+            s.visible_attribute("Tinted_Desk", "color").unwrap().target,
+            AttrTarget::cst(["h"])
+        );
+        for class in s.class_names() {
+            for (name, decl) in s.attributes_of(class) {
+                assert_eq!(
+                    s.visible_attribute(class, &name),
+                    Some(decl),
+                    "{class}.{name}"
+                );
+            }
+            assert_eq!(s.visible_attribute(class, "nope"), None);
+        }
     }
 
     #[test]

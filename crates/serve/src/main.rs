@@ -10,10 +10,13 @@
 //! `POST /query` (body: a LyriC `SELECT` statement; response: JSON).
 //! With no `--db`, the paper's office-design database (Figures 1 and 2)
 //! is served. `--db` accepts either format — binary snapshots (sniffed by
-//! their 8-byte magic) or the textual `LYRIC-DB 1` dump. `--save-db FILE`
-//! writes the loaded database back out as a verified binary snapshot and
-//! exits instead of serving, so it doubles as a text → snapshot
-//! converter. `--addr` defaults to `127.0.0.1:7171`; use port 0 for an
+//! their 8-byte magic) or the textual `LYRIC-DB 1` dump. A snapshot
+//! starts the server in proportion to its size and brings the store index
+//! with it; text is parsed in full. `--save-db FILE` writes the loaded
+//! database back out as a verified binary snapshot and exits instead of
+//! serving: it is the text → snapshot converter, and the way to upgrade
+//! a version-1 snapshot (whose `DBTX` section is a text dump), which this
+//! build refuses with a message saying so. `--addr` defaults to `127.0.0.1:7171`; use port 0 for an
 //! ephemeral port (the bound address is printed on startup).
 
 use lyric::snapshot::SnapshotExt;

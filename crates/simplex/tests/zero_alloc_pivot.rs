@@ -7,20 +7,25 @@
 //! flat coefficient matrix, rhs, basis, pivot scratch, reduced row, cost
 //! row) is recycled from the pool with its capacity intact. A counting
 //! global allocator pins this — any `Vec` growth, `BigInt` promotion, or
-//! accidental clone in the pivot loop fails the test.
+//! accidental clone in the pivot loop fails the test. The counter is
+//! per thread, so allocations of tests running concurrently on other
+//! harness threads never leak into the measured window.
 
 use lyric_arith::Rational;
 use lyric_simplex::{LpProblem, Relop};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -31,6 +36,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 /// An E2-style office-extent feasibility problem: small integer
 /// coefficients, a mix of `≤`/`<`/`=` rows, negative right-hand sides
@@ -68,11 +77,11 @@ fn warm_feasibility_check_allocates_nothing() {
     assert!(lp.is_feasible(), "the office polytope is feasible");
     assert!(lp.is_feasible());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..100 {
         assert!(lp.is_feasible());
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     lyric_arith::set_fast_path(prev);
     assert_eq!(
         after - before,
@@ -91,9 +100,9 @@ fn bigint_tier_control_allocates() {
     let prev = lyric_arith::set_fast_path(false);
     let lp = office_polytope();
     assert!(lp.is_feasible());
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     assert!(lp.is_feasible());
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     lyric_arith::set_fast_path(prev);
     assert!(
         after > before,

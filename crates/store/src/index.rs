@@ -1,8 +1,8 @@
 //! The immutable, generation-stamped store index.
 //!
-//! Built by [`index_for`], cached on the database's
-//! [`IndexSlot`](lyric_oodb::IndexSlot) and reused across writes until
-//! they cross a rebuild threshold. Two column families:
+//! Built by [`index_for`] or installed by a snapshot load, cached on the
+//! database's [`IndexSlot`](lyric_oodb::IndexSlot) and reused across
+//! writes until they cross a rebuild threshold. Two column families:
 //!
 //! * [`ScalarColumn`] — per `(class, scalar attribute)`: a sorted run of
 //!   `(value, oid)` postings for numeric values (equality and range
@@ -31,37 +31,37 @@ use std::sync::Arc;
 pub const BOX_PAGE: usize = 64;
 
 /// Sorted postings for one `(class, scalar attribute)` column.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScalarColumn {
     /// `(value, oid)` for members whose stored value is numeric, sorted.
-    nums: Vec<(Rational, Oid)>,
+    pub(crate) nums: Vec<(Rational, Oid)>,
     /// Exact-match buckets for string values.
-    strs: BTreeMap<String, Vec<Oid>>,
+    pub(crate) strs: BTreeMap<String, Vec<Oid>>,
     /// Exact-match buckets for boolean values.
-    bools: BTreeMap<bool, Vec<Oid>>,
+    pub(crate) bools: BTreeMap<bool, Vec<Oid>>,
     /// Every member whose value is not a numeric scalar: missing
     /// attribute, string, boolean, named, function, or CST value.
     /// Ordered probes must include these (the scan would error on them).
-    nonnum: Vec<Oid>,
+    pub(crate) nonnum: Vec<Oid>,
 }
 
 /// One page of the bounding-box index: entries plus their positional hull.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxPage {
     /// Positional hull of every entry box in the page.
-    hull: Vec<Interval>,
+    pub(crate) hull: Vec<Interval>,
     /// `(oid, positional box)` — one entry per stored constraint member,
     /// so a set-valued attribute contributes several entries per oid.
-    entries: Vec<(Oid, Vec<Interval>)>,
+    pub(crate) entries: Vec<(Oid, Vec<Interval>)>,
 }
 
 /// The paged bounding-box index for one `(class, CST attribute)` column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxColumn {
     /// Declared dimension of the attribute; probes with a different
     /// window arity are refused (no pruning).
-    arity: usize,
-    pages: Vec<BoxPage>,
+    pub(crate) arity: usize,
+    pub(crate) pages: Vec<BoxPage>,
 }
 
 impl BoxColumn {
@@ -72,11 +72,11 @@ impl BoxColumn {
 }
 
 /// The immutable index over one database generation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreIndex {
-    generation: u64,
-    scalars: BTreeMap<(String, String), ScalarColumn>,
-    boxes: BTreeMap<(String, String), BoxColumn>,
+    pub(crate) generation: u64,
+    pub(crate) scalars: BTreeMap<(String, String), ScalarColumn>,
+    pub(crate) boxes: BTreeMap<(String, String), BoxColumn>,
 }
 
 impl StoreIndex {

@@ -19,13 +19,17 @@
 //!   reused until the writes cross a rebuild threshold or the schema
 //!   changes.
 //!
-//! * **The snapshot container** ([`snapshot`]): a versioned, hand-rolled
-//!   binary on-disk format — magic + version header followed by
-//!   length-prefixed, FNV-1a-checksummed sections — that `lyric`'s
-//!   `Database::{save_snapshot, load_snapshot}` wraps around the textual
-//!   object dump. Every corruption mode (truncation, bit flips, version
-//!   skew, empty sections, trailing bytes) is detected and reported as a
-//!   structured [`snapshot::SnapshotError`].
+//! * **Snapshots**: a versioned, hand-rolled binary container
+//!   ([`snapshot`]) — magic + version header followed by
+//!   length-prefixed, FNV-1a-checksummed sections — holding a database
+//!   and its index as binary sections ([`encode_database`],
+//!   [`decode_database`]): variable and oid tables, the schema, the
+//!   attribute values with constraints as atom arrays, and the index's
+//!   columns. Loading validates everything and installs the index, so
+//!   the first query does not rebuild it. Every corruption mode
+//!   (truncation, bit flips, version skew, empty sections, trailing
+//!   bytes, invalid sections) is reported as a structured
+//!   [`snapshot::SnapshotError`].
 //!
 //! Probe soundness contract: every probe returns a *superset* of the
 //! oids that could satisfy the probed predicate under full-scan
@@ -33,10 +37,13 @@
 //! (e.g. an ordered comparison against a non-numeric or missing
 //! attribute). Pruning the complement is therefore observationally free.
 
+mod bytes;
 mod index;
+mod sections;
 pub mod snapshot;
 
 pub use index::{
     index_for, intersect_sorted, merge_with_novelty, BoxColumn, BoxPage, ScalarColumn, StoreIndex,
     BOX_PAGE,
 };
+pub use sections::{decode_database, encode_database};

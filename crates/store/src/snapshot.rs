@@ -26,8 +26,9 @@ use std::fmt;
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"LYRICSNP";
 
-/// The current container format version.
-pub const VERSION: u32 = 1;
+/// The current container format version. Version 1 carried the textual
+/// dump in a `DBTX` section; version 2 carries binary sections.
+pub const VERSION: u32 = 2;
 
 /// A structured snapshot decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,6 +67,14 @@ pub enum SnapshotError {
         /// What the decoder expected to find.
         detail: String,
     },
+    /// A section's payload passed its checksum but does not decode or
+    /// fails validation.
+    Invalid {
+        /// The section's 4-byte tag, rendered as ASCII.
+        tag: String,
+        /// What is wrong with it.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -75,6 +84,13 @@ impl fmt::Display for SnapshotError {
                 write!(f, "truncated while reading {context}")
             }
             SnapshotError::BadMagic => write!(f, "bad magic (not a LyriC snapshot)"),
+            SnapshotError::BadVersion { found: 1, expected } => write!(
+                f,
+                "unsupported snapshot version 1 (expected {expected}): version-1 snapshots \
+                 wrap the textual dump, which this build no longer reads at start-up; \
+                 convert the text dump (the old file's DBTX section, or the original \
+                 `--db` text) with `lyric-serve --db DUMP.txt --save-db NEW.snap`"
+            ),
             SnapshotError::BadVersion { found, expected } => {
                 write!(
                     f,
@@ -91,6 +107,7 @@ impl fmt::Display for SnapshotError {
                 write!(f, "{extra} trailing bytes after the last section")
             }
             SnapshotError::BadLayout { detail } => write!(f, "bad section layout: {detail}"),
+            SnapshotError::Invalid { tag, detail } => write!(f, "section '{tag}': {detail}"),
         }
     }
 }
@@ -107,7 +124,8 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn tag_string(tag: &[u8; 4]) -> String {
+/// A section tag as printable ASCII.
+pub(crate) fn tag_string(tag: &[u8; 4]) -> String {
     tag.iter()
         .map(|&b| if b.is_ascii_graphic() { b as char } else { '?' })
         .collect()

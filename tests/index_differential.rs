@@ -130,6 +130,70 @@ fn paper_queries_are_index_invariant() {
     }
 }
 
+/// Snapshots answer like the text interchange format. Over the paper,
+/// office, scaling and factory corpora, the database loaded from its
+/// binary snapshot (index installed from the snapshot) and the one loaded
+/// from its text dump (index built on the first probe) answer like the
+/// original with the index on and off; both loads encode to the
+/// snapshot's bytes, and the installed index equals a rebuild.
+#[test]
+fn snapshot_and_text_loads_answer_alike_over_every_corpus() {
+    let strings = |qs: &[&str]| qs.iter().map(|q| q.to_string()).collect::<Vec<_>>();
+    let corpora = [
+        ("paper", paper_example::database(), strings(&PAPER_QUERIES)),
+        (
+            "office",
+            workload::office_db(8, 3),
+            strings(&[Q_LINEAR, workload::Q_PAIRWISE]),
+        ),
+        (
+            "scaling",
+            workload::scaling_db(300, 5),
+            vec![
+                workload::q_weight_eq(17),
+                workload::q_weight_ge(280),
+                workload::q_region_window(150),
+            ],
+        ),
+        (
+            "factory",
+            workload::factory_db(3, 3, 2, 1),
+            vec![workload::factory_query(3, 2)],
+        ),
+    ];
+    for (name, db, queries) in corpora {
+        let bytes = lyric::snapshot::to_bytes(&db).expect("snapshot encodes");
+        let binary = lyric::snapshot::from_bytes(&bytes).expect("snapshot decodes");
+        let text = lyric::storage::load(&lyric::storage::save(&db).expect("text dump"))
+            .expect("text loads");
+        for (label, loaded) in [("binary", &binary), ("text", &text)] {
+            assert_eq!(
+                lyric::snapshot::to_bytes(loaded).expect("re-encodes"),
+                bytes,
+                "{name}: the {label} load encodes to other bytes"
+            );
+        }
+        assert_eq!(
+            *lyric::store::index_for(&binary),
+            lyric::store::StoreIndex::build(&binary),
+            "{name}: the installed index differs from a rebuild"
+        );
+        for (i, q) in queries.iter().enumerate() {
+            for index in [false, true] {
+                let o = opts(1, true, index);
+                let tag = format!("{name} query {i} index={index}");
+                let want = execute_shared(&db, q, &o)
+                    .unwrap_or_else(|e| panic!("{tag}: original failed: {e}"));
+                for (label, loaded) in [("binary", &binary), ("text", &text)] {
+                    let got = execute_shared(loaded, q, &o)
+                        .unwrap_or_else(|e| panic!("{tag}: {label} load failed: {e}"));
+                    assert_same_answer(&want, &got, &format!("{tag} {label}"));
+                }
+            }
+        }
+    }
+}
+
 /// The seeded office workload (the E2 linear probe) across the matrix.
 #[test]
 fn office_workload_is_index_invariant() {
